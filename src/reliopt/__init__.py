@@ -34,7 +34,6 @@ from .pipeline import (
     PrescriptionReport,
     normalized_distance,
     optimize_reliability,
-    reliability_of_bank,
     report_to_json,
     run_pipeline,
     select_prescriptions,
@@ -75,7 +74,6 @@ __all__ = [
     "optimize_reliability",
     "position_update",
     "reliability",
-    "reliability_of_bank",
     "report_to_json",
     "run_pipeline",
     "save_dataset",

@@ -12,7 +12,9 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import MISSING, fields
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,28 +47,66 @@ from .pso import SwarmConfig
 
 SEED_ENV_VAR = "RELIOPT_SEED"
 
-DEFAULT_POP = 30
-DEFAULT_ITERS = 200
+# SwarmConfig's own defaults for the settings the CLI passes straight through.
+_SWARM = {f.name: f.default for f in fields(SwarmConfig) if f.default is not MISSING}
+_POLICIES = tuple(policy.value for policy in MissingPolicy)
 
-_CONFIG_KEYS = {"data", "label", "missing", "out", "swarm", "pipeline"}
-_CONFIG_SWARM_KEYS = {
-    "pop",
-    "iters",
-    "c1",
-    "c2",
-    "w_start",
-    "w_end",
-    "velocity_clamp_fraction",
-    "scalar_rand",
-}
-_CONFIG_PIPELINE_KEYS = {"runs", "seed", "prescriptions", "radius"}
+
+class _Setting(NamedTuple):
+    name: str  # config key; the flag is --name with '_' spelled '-'
+    section: str | None  # config section: None (top level), "swarm" or "pipeline"
+    type: type  # the JSON type a config value must have
+    default: object
+    help: str | None  # flag help; None means the config file only
+    choices: tuple[str, ...] | None = None
+
+
+_SETTINGS = (
+    _Setting("data", None, str, None, "labeled CSV of financial ratios"),
+    _Setting("label", None, str, None, "name of the 0/1 health label column"),
+    _Setting("missing", None, str, "mean",
+             "missing-cell policy: impute the column mean, or reject the file", _POLICIES),
+    _Setting("out", None, str, None, "where to write the model (fit) or report JSON"),
+    _Setting("pop", "swarm", int, 30, "particles per run"),
+    _Setting("iters", "swarm", int, 200, "update sweeps per run"),
+    _Setting("c1", "swarm", float, _SWARM["c1"], "personal attraction weight"),
+    _Setting("c2", "swarm", float, _SWARM["c2"], "global attraction weight"),
+    _Setting("w_start", "swarm", float, _SWARM["w_start"], "initial inertia"),
+    _Setting("w_end", "swarm", float, _SWARM["w_end"], "final inertia"),
+    _Setting("velocity_clamp_fraction", "swarm", float, _SWARM["velocity_clamp_fraction"], None),
+    _Setting("scalar_rand", "swarm", bool, _SWARM["scalar_rand"], None),
+    _Setting("runs", "pipeline", int, DEFAULT_N_RUNS, "ensemble size"),
+    _Setting("seed", "pipeline", int, DEFAULT_SEED,
+             f"base seed; run i uses seed+i; ${SEED_ENV_VAR} replaces the default"),
+    _Setting("prescriptions", "pipeline", int, DEFAULT_N_PRESCRIPTIONS,
+             "near-optimal solutions to report"),
+    _Setting("radius", "pipeline", float, DEFAULT_DISTINCTNESS_RADIUS,
+             "normalized distinctness radius for prescriptions"),
+)
+_SECTIONS = ("swarm", "pipeline")
+_JSON_TYPES = {str: "a string", int: "an integer", float: "a number", bool: "true or false"}
 
 
 class _UsageError(Exception):
     """Bad arguments or config file; maps to exit code 2."""
 
 
-def _load_config_file(path: Path) -> dict:
+def _typed(path: Path, setting: _Setting, value):
+    """A config value as the setting's type; JSON ints pass as floats and
+    integral floats as ints, anything else of the wrong type is refused."""
+    if setting.type is float and type(value) is int:
+        value = float(value)
+    elif setting.type is int and type(value) is float and value.is_integer():
+        value = int(value)
+    if type(value) is not setting.type or (setting.choices and value not in setting.choices):
+        expected = " or ".join(map(repr, setting.choices or ())) or _JSON_TYPES[setting.type]
+        raise _UsageError(f"{path}: {setting.name!r} must be {expected}, got {value!r}")
+    return value
+
+
+def _read_config(path: Path) -> dict:
+    """The config file's settings by name, type-checked; a null key or
+    section counts as absent."""
     if not path.exists():
         raise FileNotFoundError(f"no such config file: {path}")
     try:
@@ -75,24 +115,22 @@ def _load_config_file(path: Path) -> dict:
         raise _UsageError(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(payload, dict):
         raise _UsageError(f"{path}: config must be a JSON object")
-    unknown = set(payload) - _CONFIG_KEYS
-    if unknown:
-        raise _UsageError(f"{path}: unknown config key(s): {', '.join(sorted(unknown))}")
-    for section, allowed in (("swarm", _CONFIG_SWARM_KEYS), ("pipeline", _CONFIG_PIPELINE_KEYS)):
-        block = payload.get(section)
+    values = {}
+    for section in (None, *_SECTIONS):
+        block = payload if section is None else payload.get(section)
         if block is None:
             continue
         if not isinstance(block, dict):
             raise _UsageError(f"{path}: {section!r} must be a JSON object")
-        unknown = set(block) - allowed
+        table = {s.name: s for s in _SETTINGS if s.section == section}
+        unknown = set(block) - set(table) - (set(_SECTIONS) if section is None else set())
         if unknown:
-            raise _UsageError(
-                f"{path}: unknown {section} key(s): {', '.join(sorted(unknown))}"
-            )
-    missing = payload.get("missing")
-    if missing is not None and missing not in ("mean", "reject"):
-        raise _UsageError(f"{path}: missing policy must be 'mean' or 'reject', got {missing!r}")
-    return payload
+            what = "config" if section is None else section
+            raise _UsageError(f"{path}: unknown {what} key(s): {', '.join(sorted(unknown))}")
+        for name, value in block.items():
+            if name in table and value is not None:
+                values[name] = _typed(path, table[name], value)
+    return values
 
 
 def _env_seed() -> int:
@@ -105,58 +143,50 @@ def _env_seed() -> int:
         raise _UsageError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from None
 
 
-def _pick(args: argparse.Namespace, name: str, config_value, default):
-    """Flag wins over config wins over default; conflicts are logged."""
-    flag_value = getattr(args, name, None)
-    if flag_value is not None:
-        if config_value is not None and str(config_value) != str(flag_value):
+def _settings(args: argparse.Namespace) -> dict:
+    """Every setting, merged in layers: the table default, then
+    $RELIOPT_SEED (for commands with --seed), then the config file, then the
+    flags. A flag that replaces a different config value is noted on stderr."""
+    settings = {s.name: s.default for s in _SETTINGS}
+    if "seed" in vars(args):
+        settings["seed"] = _env_seed()
+    config = _read_config(args.config) if vars(args).get("config") else {}
+    settings.update(config)
+    for name in settings:
+        flag = vars(args).get(name)
+        if flag is None:
+            continue
+        if name in config and config[name] != flag:
             print(
-                f"note: --{name.replace('_', '-')}={flag_value} overrides "
-                f"config value {config_value}",
+                f"note: --{name.replace('_', '-')}={flag} overrides config value {config[name]}",
                 file=sys.stderr,
             )
-        return flag_value
-    if config_value is not None:
-        return config_value
-    return default
+        settings[name] = flag
+    return settings
 
 
-def _dataset_settings(args: argparse.Namespace, config: dict) -> tuple[Path, str, MissingPolicy]:
-    data = _pick(args, "data", config.get("data"), None)
-    label = _pick(args, "label", config.get("label"), None)
-    missing = _pick(args, "missing", config.get("missing"), "mean")
-    if data is None:
-        raise _UsageError("--data is required (flag or config file)")
-    if label is None:
-        raise _UsageError("--label is required (flag or config file)")
-    return Path(data), str(label), MissingPolicy(missing)
-
-
-def _pipeline_config(args: argparse.Namespace, config: dict) -> PipelineConfig:
-    swarm_cfg = config.get("swarm") or {}
-    pipe_cfg = config.get("pipeline") or {}
-    swarm = SwarmConfig(
-        population_size=int(_pick(args, "pop", swarm_cfg.get("pop"), DEFAULT_POP)),
-        max_iterations=int(_pick(args, "iters", swarm_cfg.get("iters"), DEFAULT_ITERS)),
-        seed=0,  # replaced per run by the ensemble
-        c1=float(_pick(args, "c1", swarm_cfg.get("c1"), 2.0)),
-        c2=float(_pick(args, "c2", swarm_cfg.get("c2"), 2.0)),
-        w_start=float(_pick(args, "w_start", swarm_cfg.get("w_start"), 0.9)),
-        w_end=float(_pick(args, "w_end", swarm_cfg.get("w_end"), 0.4)),
-        velocity_clamp_fraction=float(swarm_cfg.get("velocity_clamp_fraction", 1.0)),
-        scalar_rand=bool(swarm_cfg.get("scalar_rand", False)),
+def _load(settings: dict):
+    for name in ("data", "label"):
+        if settings[name] is None:
+            raise _UsageError(f"--{name} is required (flag or config file)")
+    return load_dataset(
+        Path(settings["data"]), settings["label"], MissingPolicy(settings["missing"])
     )
+
+
+def _pipeline_config(settings: dict) -> PipelineConfig:
     try:
         return PipelineConfig(
-            swarm=swarm,
-            n_runs=int(_pick(args, "runs", pipe_cfg.get("runs"), DEFAULT_N_RUNS)),
-            base_seed=int(_pick(args, "seed", pipe_cfg.get("seed"), _env_seed())),
-            n_prescriptions=int(
-                _pick(args, "prescriptions", pipe_cfg.get("prescriptions"), DEFAULT_N_PRESCRIPTIONS)
+            swarm=SwarmConfig(
+                population_size=settings["pop"],
+                max_iterations=settings["iters"],
+                seed=0,  # replaced per run by the ensemble
+                **{name: settings[name] for name in _SWARM},
             ),
-            distinctness_radius=float(
-                _pick(args, "radius", pipe_cfg.get("radius"), DEFAULT_DISTINCTNESS_RADIUS)
-            ),
+            n_runs=settings["runs"],
+            base_seed=settings["seed"],
+            n_prescriptions=settings["prescriptions"],
+            distinctness_radius=settings["radius"],
         )
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
@@ -222,13 +252,11 @@ def _emit_report(args: argparse.Namespace, report: PrescriptionReport, out) -> N
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
-    config = _load_config_file(args.config) if args.config else {}
-    data_path, label, policy = _dataset_settings(args, config)
-    dataset = load_dataset(data_path, label, policy)
+    settings = _settings(args)
+    dataset = _load(settings)
     model, report = fit(dataset)
-    out = _pick(args, "out", config.get("out"), None)
-    if out is not None:
-        save_model(model, Path(out), report)
+    if settings["out"] is not None:
+        save_model(model, Path(settings["out"]), report)
     if args.json:
         sys.stdout.write(model_to_json(model, report))
     else:
@@ -236,49 +264,48 @@ def cmd_fit(args: argparse.Namespace) -> int:
     return 0
 
 
-def _bounds_from_args(args: argparse.Namespace, config: dict) -> Bounds:
-    if args.bounds is not None:
-        path = Path(args.bounds)
-        if not path.exists():
-            raise FileNotFoundError(f"no such file: {path}")
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        try:
-            return Bounds(
-                np.asarray(payload["lower"], dtype=float),
-                np.asarray(payload["upper"], dtype=float),
-            )
-        except (KeyError, TypeError) as exc:
-            raise _UsageError(f"{path}: bounds file needs 'lower' and 'upper' arrays") from exc
-    data_path, label, policy = _dataset_settings(args, config)
-    return compute_bounds(load_dataset(data_path, label, policy))
+def _bounds_from_args(args: argparse.Namespace, settings: dict) -> Bounds:
+    if args.bounds is None:
+        return compute_bounds(_load(settings))
+    path = Path(args.bounds)
+    if not path.exists():
+        raise FileNotFoundError(f"no such file: {path}")
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    try:
+        return Bounds(
+            np.asarray(payload["lower"], dtype=float),
+            np.asarray(payload["upper"], dtype=float),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise _UsageError(f"{path}: bounds file needs 'lower' and 'upper' number arrays") from exc
 
 
 def cmd_optimize(args: argparse.Namespace) -> int:
-    config = _load_config_file(args.config) if args.config else {}
+    settings = _settings(args)
     if args.model is None:
         raise _UsageError("--model is required")
+    pipeline_config = _pipeline_config(settings)
     model, fit_report = load_model(args.model)
-    bounds = _bounds_from_args(args, config)
-    pipeline_config = _pipeline_config(args, config)
+    bounds = _bounds_from_args(args, settings)
     report = optimize_reliability(model, bounds, pipeline_config, fit_report=fit_report)
-    _emit_report(args, report, _pick(args, "out", config.get("out"), None))
+    _emit_report(args, report, settings["out"])
     return 0
 
 
 def cmd_pipeline(args: argparse.Namespace) -> int:
-    config = _load_config_file(args.config) if args.config else {}
-    data_path, label, policy = _dataset_settings(args, config)
-    dataset = load_dataset(data_path, label, policy)
-    pipeline_config = _pipeline_config(args, config)
-    report = run_pipeline(dataset, pipeline_config)
+    settings = _settings(args)
+    pipeline_config = _pipeline_config(settings)
+    report = run_pipeline(_load(settings), pipeline_config)
     if args.model_out is not None:
         save_model(report.model, Path(args.model_out), report.fit_report)
-    _emit_report(args, report, _pick(args, "out", config.get("out"), None))
+    _emit_report(args, report, settings["out"])
     return 0
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    seed = args.seed if args.seed is not None else _env_seed()
+    seed = _settings(args)["seed"]
+    if seed < 0:
+        raise _UsageError(f"seed must be non-negative, got {seed}")
     n = args.features
     if n is None or args.rows is None:
         raise _UsageError("--features and --rows are required")
@@ -303,42 +330,19 @@ def cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_dataset_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--data", type=Path, help="labeled CSV of financial ratios")
-    parser.add_argument("--label", help="name of the 0/1 health label column")
-    parser.add_argument(
-        "--missing",
-        choices=["mean", "reject"],
-        help="missing-cell policy: impute the column mean, or reject the file (default: mean)",
-    )
-
-
-def _add_swarm_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--pop", type=int, help=f"particles per run (default {DEFAULT_POP})")
-    parser.add_argument(
-        "--iters", type=int, help=f"update sweeps per run (default {DEFAULT_ITERS})"
-    )
-    parser.add_argument("--runs", type=int, help=f"ensemble size (default {DEFAULT_N_RUNS})")
-    parser.add_argument(
-        "--seed",
-        type=int,
-        help=f"base seed; run i uses seed+i (default ${SEED_ENV_VAR} or {DEFAULT_SEED})",
-    )
-    parser.add_argument("--c1", type=float, help="personal attraction weight (default 2)")
-    parser.add_argument("--c2", type=float, help="global attraction weight (default 2)")
-    parser.add_argument("--w-start", dest="w_start", type=float, help="initial inertia (default 0.9)")
-    parser.add_argument("--w-end", dest="w_end", type=float, help="final inertia (default 0.4)")
-    parser.add_argument(
-        "--prescriptions",
-        type=int,
-        help=f"near-optimal solutions to report (default {DEFAULT_N_PRESCRIPTIONS})",
-    )
-    parser.add_argument(
-        "--radius",
-        type=float,
-        help="normalized distinctness radius for prescriptions (default "
-        f"{DEFAULT_DISTINCTNESS_RADIUS})",
-    )
+def _add_setting_flags(parser: argparse.ArgumentParser, *sections: str | None) -> None:
+    """A flag for each table setting in ``sections`` that has help text."""
+    for setting in _SETTINGS:
+        if setting.section not in sections or setting.help is None:
+            continue
+        default = "" if setting.default is None else f" (default {setting.default})"
+        parser.add_argument(
+            f"--{setting.name.replace('_', '-')}",
+            dest=setting.name,
+            type=setting.type,
+            choices=setting.choices,
+            help=setting.help + default,
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -350,8 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     fit_parser = sub.add_parser("fit", help="fit the reliability model from a labeled CSV")
-    _add_dataset_flags(fit_parser)
-    fit_parser.add_argument("--out", type=Path, help="where to write the model JSON")
+    _add_setting_flags(fit_parser, None)
     fit_parser.add_argument("--json", action="store_true", help="print model JSON to stdout")
     fit_parser.add_argument("--config", type=Path, help="JSON config file (flags win)")
     fit_parser.set_defaults(handler=cmd_fit)
@@ -363,9 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     optimize_parser.add_argument(
         "--bounds", type=Path, help="explicit bounds JSON {lower: [...], upper: [...]}"
     )
-    _add_dataset_flags(optimize_parser)
-    _add_swarm_flags(optimize_parser)
-    optimize_parser.add_argument("--out", type=Path, help="where to write the report JSON")
+    _add_setting_flags(optimize_parser, None, *_SECTIONS)
     optimize_parser.add_argument("--json", action="store_true", help="print report JSON to stdout")
     optimize_parser.add_argument("--config", type=Path, help="JSON config file (flags win)")
     optimize_parser.set_defaults(handler=cmd_optimize)
@@ -373,9 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     pipeline_parser = sub.add_parser(
         "pipeline", help="fit and optimize in one invocation"
     )
-    _add_dataset_flags(pipeline_parser)
-    _add_swarm_flags(pipeline_parser)
-    pipeline_parser.add_argument("--out", type=Path, help="where to write the report JSON")
+    _add_setting_flags(pipeline_parser, None, *_SECTIONS)
     pipeline_parser.add_argument(
         "--model-out", dest="model_out", type=Path, help="where to write the model JSON"
     )

@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import (
     AllMissingColumnError,
-    EmptyDatasetError,
     InvalidDimensionsError,
     InvalidLabelError,
     MalformedRowError,
@@ -248,8 +247,6 @@ def compute_bounds(dataset: Dataset) -> Bounds:
     Constant columns yield a degenerate (zero-width) dimension, which the
     optimizer pins rather than rejects.
     """
-    if dataset.n_rows == 0 or dataset.n_features == 0:
-        raise EmptyDatasetError("cannot derive bounds from an empty dataset")
     return Bounds(dataset.features.min(axis=0), dataset.features.max(axis=0))
 
 

@@ -25,10 +25,6 @@ class AllMissingColumnError(ReliOptError):
     """A column is entirely missing, so no mean can be computed for it."""
 
 
-class EmptyDatasetError(ReliOptError):
-    pass
-
-
 class InvalidDimensionsError(ReliOptError):
     pass
 

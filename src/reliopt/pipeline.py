@@ -12,6 +12,7 @@ reliability.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -42,8 +43,10 @@ class PipelineConfig:
             raise ValueError("n_runs must be at least 1")
         if not (0 <= self.n_prescriptions <= self.n_runs):
             raise ValueError("need 0 <= n_prescriptions <= n_runs")
-        if self.distinctness_radius < 0:
-            raise ValueError("distinctness_radius must be non-negative")
+        if self.base_seed < 0:
+            raise ValueError("base_seed must be non-negative")
+        if not (math.isfinite(self.distinctness_radius) and self.distinctness_radius >= 0):
+            raise ValueError("distinctness_radius must be finite and non-negative")
 
 
 @dataclass(frozen=True)
@@ -68,11 +71,6 @@ class PrescriptionReport:
     config: PipelineConfig
     warnings: tuple[str, ...]
     fit_report: FitReport | None = None
-
-
-def reliability_of_bank(model: LogisticModel, x) -> float:
-    """Score a single bank's ratio vector (alias of the model evaluation)."""
-    return reliability(model, x)
 
 
 def normalized_distance(a, b, bounds: Bounds) -> float:

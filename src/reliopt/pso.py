@@ -11,6 +11,7 @@ across the iteration budget. Runs are bit-reproducible for a given seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +41,9 @@ class SwarmConfig:
     scalar_rand: bool = False
 
     def __post_init__(self) -> None:
+        weights = (self.c1, self.c2, self.w_start, self.w_end, self.velocity_clamp_fraction)
+        if not all(math.isfinite(w) for w in weights):
+            raise ValueError("c1, c2, w_start, w_end and velocity_clamp_fraction must be finite")
         if self.population_size < 2:
             raise ValueError("population_size must be at least 2")
         if self.max_iterations < 1:

@@ -2,6 +2,8 @@ import json
 import re
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from reliopt.cli import main
 
@@ -46,6 +48,16 @@ class TestGen:
             "--beta", "0.5,1.0,-1.0", "--out", str(out),
         ) == 0
         assert "0.5" in capsys.readouterr().out
+
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "g.csv"
+        assert run_cli("gen", "--features", "2", "--rows", "5", "--seed", "-3", "--out", str(out)) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
+    def test_negative_env_seed_is_usage_error(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("RELIOPT_SEED", "-3")
+        assert run_cli("gen", "--features", "2", "--rows", "5", "--out", str(tmp_path / "g.csv")) == 2
 
     def test_env_seed_default(self, tmp_path, monkeypatch):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -167,6 +179,26 @@ class TestOptimize:
         assert report_path.exists()
         json.loads(report_path.read_text())
 
+    @pytest.mark.parametrize(
+        "body",
+        [
+            {"lower": ["a"] + [0] * 8, "upper": [1] * 9},
+            {"lower": [0] * 9, "upper": "abc"},
+            [0, 1],
+        ],
+    )
+    def test_malformed_bounds_file_is_usage_error(self, model_json, tmp_path, capsys, body):
+        bounds_path = tmp_path / "bounds.json"
+        bounds_path.write_text(json.dumps(body))
+        capsys.readouterr()
+        code = run_cli(
+            "optimize", "--model", str(model_json), "--bounds", str(bounds_path),
+            "--pop", "10", "--iters", "2", "--runs", "2",
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(bounds_path) in err
+
     def test_model_bounds_dimension_mismatch_exit_1(self, model_json, tmp_path, capsys):
         bounds_path = tmp_path / "bounds.json"
         bounds_path.write_text(json.dumps({"lower": [0, 0], "upper": [1, 1]}))
@@ -232,6 +264,181 @@ class TestPipeline:
         path = write_csv(tmp_path / "one.csv", "a,b,label\n1,5,0\n2,6,0\n3,7,0\n")
         assert run_cli("pipeline", "--data", path, "--label", "label") == 1
         assert "single-class" in capsys.readouterr().err
+
+
+def write_config(path, body):
+    path.write_text(json.dumps(body))
+    return str(path)
+
+
+def assert_single_error(capsys):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), captured.err
+
+
+class TestSettings:
+    """Defaults, then $RELIOPT_SEED, then the config file, then flags."""
+
+    FAST = ("--pop", "10", "--iters", "2", "--runs", "3")
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("swarm", "pop", "abc"),
+            ("swarm", "pop", 1),
+            ("pipeline", "runs", True),
+            ("pipeline", "seed", 1.7),
+            ("swarm", "scalar_rand", "false"),
+            ("pipeline", "radius", "wide"),
+            ("swarm", "velocity_clamp_fraction", 0),
+            (None, "data", 3),
+            (None, "label", 5),
+        ],
+    )
+    def test_bad_config_value_is_usage_error(self, synth_csv, tmp_path, capsys, section, key, value):
+        body = {"data": str(synth_csv), "label": "label",
+                "swarm": {"pop": 10, "iters": 2}, "pipeline": {"runs": 3}}
+        (body if section is None else body[section])[key] = value
+        capsys.readouterr()
+        assert run_cli("pipeline", "--config", write_config(tmp_path / "cfg.json", body)) == 2
+        assert_single_error(capsys)
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--pop", "1"),
+            ("--iters", "0"),
+            ("--w-start", "0.1"),
+            ("--seed", "-1"),
+            ("--c1", "nan"),
+            ("--c2", "inf"),
+            ("--radius", "nan"),
+        ],
+        ids="=".join,
+    )
+    def test_bad_flag_value_is_usage_error(self, synth_csv, capsys, flags):
+        capsys.readouterr()
+        assert run_cli("pipeline", "--data", str(synth_csv), "--label", "label",
+                       *self.FAST, *flags) == 2
+        assert_single_error(capsys)
+
+    def test_negative_env_seed_is_usage_error(self, synth_csv, capsys, monkeypatch):
+        monkeypatch.setenv("RELIOPT_SEED", "-1")
+        capsys.readouterr()
+        assert run_cli("pipeline", "--data", str(synth_csv), "--label", "label", *self.FAST) == 2
+        assert_single_error(capsys)
+
+    def test_null_means_absent(self, synth_csv, tmp_path, capsys):
+        config = write_config(tmp_path / "cfg.json", {
+            "data": str(synth_csv), "label": "label", "out": None,
+            "swarm": {"pop": 10, "iters": None}, "pipeline": None,
+        })
+        assert run_cli("pipeline", "--config", config, "--iters", "2", "--runs", "3") == 0
+        captured = capsys.readouterr()
+        assert "Population size: 10" in captured.out
+        assert captured.err == ""
+
+    def test_config_and_flags_give_same_bytes(self, synth_csv, tmp_path, capsys):
+        from_config, from_flags = tmp_path / "config.json", tmp_path / "flags.json"
+        config = write_config(tmp_path / "cfg.json", {
+            "data": str(synth_csv), "label": "label", "missing": "reject",
+            "out": str(from_config),
+            "swarm": {"pop": 9, "iters": 3, "c1": 1, "c2": 3, "w_start": 1, "w_end": 0.25},
+            "pipeline": {"runs": 4, "seed": 6, "prescriptions": 3, "radius": 0.1},
+        })
+        assert run_cli("pipeline", "--config", config) == 0
+        assert run_cli(
+            "pipeline", "--data", str(synth_csv), "--label", "label", "--missing", "reject",
+            "--out", str(from_flags), "--pop", "9", "--iters", "3", "--c1", "1", "--c2", "3",
+            "--w-start", "1", "--w-end", "0.25", "--runs", "4", "--seed", "6",
+            "--prescriptions", "3", "--radius", "0.1",
+        ) == 0
+        assert from_config.read_bytes() == from_flags.read_bytes()
+        assert capsys.readouterr().err == ""
+
+    def test_equal_flag_over_config_prints_no_note(self, synth_csv, tmp_path, capsys):
+        config = write_config(tmp_path / "cfg.json", {
+            "data": str(synth_csv), "label": "label", "swarm": {"c1": 2, "pop": 10}
+        })
+        assert run_cli("pipeline", "--config", config, "--c1", "2", "--pop", "10",
+                       "--iters", "2", "--runs", "3") == 0
+        assert capsys.readouterr().err == ""
+
+    def test_config_beats_env_seed_and_flag_beats_config(self, synth_csv, tmp_path, monkeypatch):
+        def report(*extra):
+            out = tmp_path / "r.json"
+            assert run_cli("pipeline", "--data", str(synth_csv), "--label", "label",
+                           *self.FAST, "--out", str(out), *extra) == 0
+            return out.read_bytes()
+
+        seeded = report("--seed", "5")
+        monkeypatch.setenv("RELIOPT_SEED", "5")
+        assert report() == seeded
+        config = write_config(tmp_path / "cfg.json", {"pipeline": {"seed": 8}})
+        assert report("--config", config) == report("--seed", "8") != seeded
+        assert report("--config", config, "--seed", "5") == seeded
+
+
+# Valid values, kept small (pop <= 8, iters <= 3, runs <= 3) so every example is fast.
+_VALID = {
+    (None, "label"): st.just("label"),
+    (None, "missing"): st.sampled_from(["mean", "reject"]),
+    ("swarm", "pop"): st.integers(2, 8),
+    ("swarm", "iters"): st.integers(1, 3),
+    ("swarm", "c1"): st.floats(0, 4),
+    ("swarm", "c2"): st.integers(0, 4),
+    ("swarm", "w_start"): st.floats(0.5, 1),
+    ("swarm", "w_end"): st.floats(0, 0.5),
+    ("swarm", "velocity_clamp_fraction"): st.floats(0.1, 1),
+    ("swarm", "scalar_rand"): st.booleans(),
+    ("pipeline", "runs"): st.integers(1, 3),
+    ("pipeline", "seed"): st.integers(0, 2**40),
+    ("pipeline", "prescriptions"): st.integers(0, 1),
+    ("pipeline", "radius"): st.floats(0, 1),
+}
+_WRONG = st.sampled_from(
+    ["abc", "", True, False, None, [1], {"a": 1}, float("nan"), float("inf"), -1, 0, 1.5]
+)
+_SIZES = {"pop", "iters", "runs"}  # a null here would bring back a large default
+
+
+@st.composite
+def config_bodies(draw):
+    """A valid config body with up to three keys or sections made wrong."""
+    body = {"swarm": {}, "pipeline": {}}
+    for (section, key), valid in _VALID.items():
+        if key in _SIZES or draw(st.booleans()):
+            (body if section is None else body[section])[key] = draw(valid)
+    for _ in range(draw(st.integers(0, 3))):
+        section, key = draw(st.sampled_from([*_VALID, (None, "swarm"), (None, "unknown")]))
+        wrong = draw(_WRONG)
+        target = body if section is None else body[section]
+        if isinstance(target, dict) and not (key in _SIZES and wrong is None):
+            target[key] = wrong
+    return body
+
+
+@pytest.fixture(scope="module")
+def tiny_csv(tmp_path_factory):
+    path = tmp_path_factory.mktemp("tiny") / "tiny.csv"
+    assert run_cli("gen", "--features", "3", "--rows", "40", "--seed", "2", "--out", str(path)) == 0
+    return path
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(body=config_bodies())
+def test_any_config_body_exits_cleanly(tiny_csv, tmp_path, capsys, body):
+    config = write_config(tmp_path / "cfg.json", {"data": str(tiny_csv), "label": "label", **body})
+    capsys.readouterr()
+    code = run_cli("pipeline", "--config", config, "--json")
+    captured = capsys.readouterr()
+    assert code in (0, 1, 2)
+    if code == 0:
+        json.loads(captured.out)
+    else:
+        assert captured.out == "" and captured.err.startswith("error:")
 
 
 class TestHelp:

@@ -20,7 +20,6 @@ from reliopt import (
     normalized_distance,
     optimize_reliability,
     reliability,
-    reliability_of_bank,
     report_to_json,
     run_pipeline,
     select_prescriptions,
@@ -202,11 +201,6 @@ class TestRunPipeline:
             assert p.position.shape == (9,)
             assert 0.0 < p.reliability < 1.0
 
-    def test_reliability_of_bank_delegates(self, synthetic):
-        model, _ = fit(synthetic)
-        x = synthetic.features[0]
-        assert reliability_of_bank(model, x) == reliability(model, x)
-
 
 class TestReportJson:
     def test_byte_identical_reruns(self, synthetic):
@@ -251,6 +245,18 @@ class TestConfigValidation:
             pipeline_config(runs=2, n_prescriptions=3)
         with pytest.raises(ValueError):
             pipeline_config(distinctness_radius=-0.1)
+
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            {"distinctness_radius": float("nan")},
+            {"distinctness_radius": float("inf")},
+            {"base_seed": -1},
+        ],
+    )
+    def test_rejects_bad_values(self, kw):
+        with pytest.raises(ValueError):
+            pipeline_config(**kw)
 
     def test_optimize_against_existing_model(self, synthetic):
         model, _ = fit(synthetic)

@@ -142,6 +142,11 @@ class TestConfigValidation:
             {"w_end": -0.1},
             {"velocity_clamp_fraction": 0.0},
             {"velocity_clamp_fraction": 1.5},
+            {"c1": float("nan")},
+            {"c2": float("inf")},
+            {"w_start": float("inf")},
+            {"w_start": float("nan"), "w_end": float("nan")},
+            {"velocity_clamp_fraction": float("nan")},
         ],
     )
     def test_rejects_bad_values(self, kw):
