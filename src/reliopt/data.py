@@ -69,10 +69,6 @@ class Bounds:
         """Per-dimension width ``upper - lower`` (zero for degenerate dims)."""
         return self.upper - self.lower
 
-    def contains(self, x: np.ndarray) -> bool:
-        x = np.asarray(x, dtype=float)
-        return bool((x >= self.lower).all() and (x <= self.upper).all())
-
 
 @dataclass(frozen=True, eq=False)
 class Dataset:

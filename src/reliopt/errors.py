@@ -38,12 +38,8 @@ class SingleClassDatasetError(ReliOptError):
 
 
 class SingularHessianError(ReliOptError):
-    """Newton step is unsolvable and the ridge fallback is disabled."""
+    """Newton step is unsolvable even with the fallback ridge switched on."""
 
 
 class NonFiniteIterateError(ReliOptError):
     """A Newton iterate left the representable range."""
-
-
-class DimensionTooLargeError(ReliOptError):
-    """Exhaustive corner enumeration refuses to expand 2**n this large."""

@@ -110,12 +110,12 @@ def reliability(model: LogisticModel, x) -> float:
     return _sigmoid_scalar(float(model.beta[0] + model.beta[1:] @ x))
 
 
-def _scores(model: LogisticModel, dataset: Dataset) -> np.ndarray:
+def _check_dataset(model: LogisticModel, dataset: Dataset) -> np.ndarray:
     if dataset.n_features != model.n_features:
         raise DimensionMismatchError(
             f"model has {model.n_features} features, dataset has {dataset.n_features}"
         )
-    return model.beta[0] + dataset.features @ model.beta[1:]
+    return dataset.features
 
 
 def log_likelihood(model: LogisticModel, dataset: Dataset) -> float:
@@ -124,9 +124,14 @@ def log_likelihood(model: LogisticModel, dataset: Dataset) -> float:
     Row contributions are combined with ``math.fsum``, so the result is the
     correctly rounded sum: duplicating every row exactly doubles it.
     """
-    t = _scores(model, dataset)
+    t = model.beta[0] + _check_dataset(model, dataset) @ model.beta[1:]
     per_row = np.where(dataset.labels == 1, log_sigmoid(t), log_sigmoid(-t))
     return math.fsum(per_row)
+
+
+def _augmented(features: np.ndarray) -> np.ndarray:
+    # the intercept-augmented feature matrix [1, X]
+    return np.hstack([np.ones((features.shape[0], 1)), features])
 
 
 def _residuals(labels: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -134,25 +139,35 @@ def _residuals(labels: np.ndarray, t: np.ndarray) -> np.ndarray:
     return np.where(labels == 1, sigmoid(-t), -sigmoid(t))
 
 
+def _gradient(augmented: np.ndarray, labels: np.ndarray, t: np.ndarray) -> np.ndarray:
+    return augmented.T @ _residuals(labels, t)
+
+
+def _curvature(augmented: np.ndarray, t: np.ndarray) -> np.ndarray:
+    # minus the Hessian; p*(1-p) as sigmoid(t)*sigmoid(-t) stays positive until
+    # sigmoid(-|t|) truly underflows, instead of hitting zero near |t|~37
+    return (augmented.T * (sigmoid(t) * sigmoid(-t))) @ augmented
+
+
 def gradient(model: LogisticModel, dataset: Dataset) -> np.ndarray:
     """Gradient of the log-likelihood in beta: residuals against the
     intercept-augmented feature matrix."""
-    residual = _residuals(dataset.labels, _scores(model, dataset))
-    return np.concatenate(([residual.sum()], dataset.features.T @ residual))
-
-
-def _bernoulli_weights(t: np.ndarray) -> np.ndarray:
-    # p*(1-p) evaluated as sigmoid(t)*sigmoid(-t): stays positive until
-    # sigmoid(-|t|) truly underflows, instead of hitting zero near |t|~37
-    return sigmoid(t) * sigmoid(-t)
+    augmented = _augmented(_check_dataset(model, dataset))
+    return _gradient(augmented, dataset.labels, augmented @ model.beta)
 
 
 def hessian(model: LogisticModel, dataset: Dataset) -> np.ndarray:
     """Hessian of the log-likelihood: symmetric negative semi-definite."""
-    w = _bernoulli_weights(_scores(model, dataset))
-    augmented = np.hstack([np.ones((dataset.n_rows, 1)), dataset.features])
-    h = -(augmented.T * w) @ augmented
+    augmented = _augmented(_check_dataset(model, dataset))
+    h = -_curvature(augmented, augmented @ model.beta)
     return (h + h.T) / 2.0
+
+
+def _cholesky(matrix: np.ndarray):
+    try:
+        return cho_factor(matrix, lower=True)
+    except (LinAlgError, ValueError):
+        return None
 
 
 def fit(
@@ -160,16 +175,13 @@ def fit(
     *,
     max_iter: int = DEFAULT_MAX_ITER,
     grad_tol: float = DEFAULT_GRAD_TOL,
-    ridge: float = 0.0,
-    ridge_fallback: bool = True,
 ) -> tuple[LogisticModel, FitReport]:
     """Maximum-likelihood fit by Newton-Raphson, starting from beta = 0.
 
-    Each step solves ``(-H + ridge*I) delta = grad - ridge*beta`` through a
-    Cholesky factorization. When the factorization fails with ridge = 0 and
-    the fallback is enabled, a ridge of ``FALLBACK_RIDGE`` is switched on for
-    the remaining iterations and recorded in the report; with the fallback
-    disabled the failure raises SingularHessianError.
+    Each step solves ``-H delta = grad`` by Cholesky. The first failure to
+    factorize switches on a ridge of ``FALLBACK_RIDGE`` for the rest of the fit
+    (steps then solve ``(-H + ridge*I) delta = grad - ridge*beta``) and the
+    report records it; SingularHessianError means a failure with the ridge on.
 
     On perfectly separated data the likelihood has no finite maximizer: the
     gradient shrinks while the coefficients diverge. With no ridge in play,
@@ -185,68 +197,43 @@ def fit(
         )
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
-    if grad_tol <= 0 or ridge < 0:
-        raise ValueError("grad_tol must be positive and ridge non-negative")
+    if grad_tol <= 0:
+        raise ValueError("grad_tol must be positive")
 
-    m, n = dataset.features.shape
-    augmented = np.hstack([np.ones((m, 1)), dataset.features])
-    beta = np.zeros(n + 1)
-    identity = np.eye(n + 1)
-    ridge_used = float(ridge)
-    iterations = 0
-
-    def penalized_gradient(b: np.ndarray) -> np.ndarray:
-        g = augmented.T @ _residuals(labels, augmented @ b)
-        return g - ridge_used * b if ridge_used else g
-
+    augmented = _augmented(dataset.features)
+    beta = np.zeros(augmented.shape[1])
+    identity = np.eye(beta.size)
     signed = 2.0 * labels - 1.0
-
-    def at_optimum(b: np.ndarray, grad: np.ndarray) -> bool:
-        if np.abs(grad).max() > grad_tol:
-            return False
-        if ridge_used:
-            return True
-        # an unpenalized "solution" that strictly separates the classes is
-        # the infinite-MLE artifact, not a maximizer
-        return bool((signed * (augmented @ b) <= 0).any())
-
-    for _ in range(max_iter):
-        grad = penalized_gradient(beta)
-        if at_optimum(beta, grad):
+    ridge = 0.0
+    iterations = 0
+    while True:
+        t = augmented @ beta
+        grad = _gradient(augmented, labels, t)
+        if ridge:
+            grad = grad - ridge * beta
+        converged = bool(np.abs(grad).max() <= grad_tol and (ridge or (signed * t <= 0).any()))
+        if converged or iterations == max_iter:
             break
-        w = _bernoulli_weights(augmented @ beta)
-        curvature = (augmented.T * w) @ augmented
-        if ridge_used:
-            curvature = curvature + ridge_used * identity
-        try:
-            factor = cho_factor(curvature, lower=True)
-        except (LinAlgError, ValueError):
-            if not ridge_fallback or ridge_used >= FALLBACK_RIDGE:
-                raise SingularHessianError(
-                    "curvature matrix is singular; enable the ridge fallback or raise ridge"
-                ) from None
-            ridge_used = FALLBACK_RIDGE
-            grad = penalized_gradient(beta)
-            try:
-                factor = cho_factor(curvature + ridge_used * identity, lower=True)
-            except (LinAlgError, ValueError):
-                raise SingularHessianError(
-                    "curvature matrix is singular even with the fallback ridge"
-                ) from None
+        curvature = _curvature(augmented, t)
+        factor = _cholesky(curvature + ridge * identity if ridge else curvature)
+        if factor is None and not ridge:
+            ridge = FALLBACK_RIDGE
+            grad = grad - ridge * beta
+            factor = _cholesky(curvature + ridge * identity)
+        if factor is None:
+            raise SingularHessianError("curvature matrix is singular even with the fallback ridge")
         beta = beta + cho_solve(factor, grad)
         if not np.isfinite(beta).all():
             raise NonFiniteIterateError("Newton iterate overflowed")
         iterations += 1
 
     model = LogisticModel(beta=beta, feature_names=dataset.feature_names)
-    final_grad = penalized_gradient(beta)
-    max_abs_gradient = float(np.abs(final_grad).max())
     report = FitReport(
-        converged=at_optimum(beta, final_grad),
+        converged=converged,
         iterations=iterations,
         final_log_likelihood=log_likelihood(model, dataset),
-        max_abs_gradient=max_abs_gradient,
-        ridge_used=ridge_used,
+        max_abs_gradient=float(np.abs(grad).max()),
+        ridge_used=ridge,
     )
     return model, report
 

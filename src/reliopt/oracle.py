@@ -1,27 +1,24 @@
-"""Reference solvers for the box-constrained reliability maximum.
+"""Closed-form solver for the box-constrained reliability maximum.
 
 The reliability objective is a monotone transform of a linear score, so its
 exact global maximum over a box sits at the vertex selected by the
-coefficient signs. These solvers provide that answer in closed form and by
-exhaustive vertex search, for validating the stochastic optimizer.
+coefficient signs. The pipeline reports that vertex next to the stochastic
+optimizer's results.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import Bounds
-from .errors import DimensionMismatchError, DimensionTooLargeError
+from .errors import DimensionMismatchError
 from .logistic import LogisticModel, reliability
 
 # Fitted coefficients are never exactly zero; this threshold documents what
 # counts as a flat (reliability-irrelevant) direction.
 ZERO_COEFFICIENT_TOL = 1e-15
-
-MAX_ENUMERATION_DIMS = 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,16 +42,12 @@ class CornerSolution:
         object.__setattr__(self, "active_signs", signs)
 
 
-def _check_dims(model: LogisticModel, bounds: Bounds) -> None:
+def corner_optimum(model: LogisticModel, bounds: Bounds) -> CornerSolution:
+    """Exact global maximum of the reliability over the box, in closed form."""
     if bounds.n != model.n_features:
         raise DimensionMismatchError(
             f"model has {model.n_features} features, bounds have {bounds.n}"
         )
-
-
-def corner_optimum(model: LogisticModel, bounds: Bounds) -> CornerSolution:
-    """Exact global maximum of the reliability over the box, in closed form."""
-    _check_dims(model, bounds)
     coefficients = model.beta[1:]
     signs = np.where(
         np.abs(coefficients) < ZERO_COEFFICIENT_TOL, 0, np.sign(coefficients)
@@ -65,25 +58,3 @@ def corner_optimum(model: LogisticModel, bounds: Bounds) -> CornerSolution:
         value=reliability(model, position),
         active_signs=signs,
     )
-
-
-def enumerate_corners(model: LogisticModel, bounds: Bounds) -> CornerSolution:
-    """Best vertex by exhaustive 2**n search.
-
-    Ties go to the lexicographically smallest sign vector (-1 before +1),
-    which the enumeration order delivers for free.
-    """
-    _check_dims(model, bounds)
-    n = bounds.n
-    if n > MAX_ENUMERATION_DIMS:
-        raise DimensionTooLargeError(f"refusing to enumerate 2**{n} corners")
-
-    best: CornerSolution | None = None
-    for signs in itertools.product((-1, 1), repeat=n):
-        sign_vector = np.asarray(signs, dtype=int)
-        position = np.where(sign_vector > 0, bounds.upper, bounds.lower)
-        value = reliability(model, position)
-        if best is None or value > best.value:
-            best = CornerSolution(position=position, value=value, active_signs=sign_vector)
-    assert best is not None
-    return best

@@ -55,13 +55,13 @@ class EnsembleRun:
     result: SwarmResult
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Prescription:
     position: np.ndarray
     reliability: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PrescriptionReport:
     model: LogisticModel
     bounds: Bounds
@@ -140,13 +140,10 @@ def optimize_reliability(
         for seed in range(config.base_seed, config.base_seed + config.n_runs)
     )
 
-    selected = select_prescriptions(
-        ensemble, corner, bounds, config.n_prescriptions, config.distinctness_radius
-    )
-    # reliabilities are re-evaluated against the model at report time
     prescriptions = tuple(
-        Prescription(position=p.position, reliability=reliability(model, p.position))
-        for p in selected
+        select_prescriptions(
+            ensemble, corner, bounds, config.n_prescriptions, config.distinctness_radius
+        )
     )
     warnings: tuple[str, ...] = ()
     if len(prescriptions) < config.n_prescriptions:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from reliopt import Dataset
+from reliopt.data import Dataset
 
 
 @pytest.fixture
@@ -15,3 +15,18 @@ def six_point_dataset() -> Dataset:
 def write_csv(path, text: str) -> str:
     path.write_text(text, encoding="utf-8")
     return str(path)
+
+
+def duplicated_large_column_dataset() -> Dataset:
+    """40 x 3 ratios whose last two columns are the same 1e6-scale ratio.
+
+    The curvature is singular; the fallback ridge of 1e-8 lets the first
+    Newton step through, and a later step fails with the ridge on. The draws
+    are frozen: other seeds fail at the first step instead.
+    """
+    rng = np.random.default_rng(2)
+    small = rng.uniform(0.0, 1.0, (40, 2))[:, 0]
+    large = 1e6 * rng.uniform(0.0, 1.0, 40)
+    labels = rng.integers(0, 2, 40)
+    features = np.column_stack([small, large, large])
+    return Dataset(features=features, labels=labels, feature_names=("a", "b", "c"))

@@ -6,8 +6,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from reliopt.cli import main
+from reliopt.data import save_dataset
 
-from conftest import write_csv
+from conftest import duplicated_large_column_dataset, write_csv
 
 
 def run_cli(*argv):
@@ -98,6 +99,16 @@ class TestFit:
         path = write_csv(tmp_path / "one.csv", "a,label\n1,1\n2,1\n3,1\n")
         assert run_cli("fit", "--data", path, "--label", "label") == 1
         assert "single-class" in capsys.readouterr().err
+
+    def test_singular_curvature_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "dup.csv"
+        save_dataset(duplicated_large_column_dataset(), path)
+        assert run_cli("fit", "--data", str(path), "--label", "label") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "singular" in lines[0] and "enable" not in lines[0]
 
 
 class TestOptimize:
@@ -198,6 +209,22 @@ class TestOptimize:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and str(bounds_path) in err
+
+    def test_population_beyond_address_space_exit_1(self, model_json, tmp_path, capsys):
+        # 1e15 x 9 floats is 64 PiB, past any address space, so numpy refuses
+        # the allocation at once instead of touching memory
+        bounds_path = tmp_path / "bounds.json"
+        bounds_path.write_text(json.dumps({"lower": [0] * 9, "upper": [1] * 9}))
+        capsys.readouterr()
+        code = run_cli(
+            "optimize", "--model", str(model_json), "--bounds", str(bounds_path),
+            "--pop", "1000000000000000", "--iters", "1", "--runs", "2",
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: out of memory")
 
     def test_model_bounds_dimension_mismatch_exit_1(self, model_json, tmp_path, capsys):
         bounds_path = tmp_path / "bounds.json"

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from reliopt import (
+from reliopt.data import (
+    DEFAULT_SEED,
     Bounds,
     Dataset,
     MissingPolicy,
@@ -13,9 +14,7 @@ from reliopt import (
     load_dataset,
     mean_impute,
     save_dataset,
-    sigmoid,
 )
-from reliopt.data import DEFAULT_SEED
 from reliopt.errors import (
     AllMissingColumnError,
     InvalidDimensionsError,
@@ -24,6 +23,7 @@ from reliopt.errors import (
     MissingValuesRejectedError,
     UnknownLabelColumnError,
 )
+from reliopt.logistic import sigmoid
 
 from conftest import write_csv
 

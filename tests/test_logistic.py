@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reliopt import (
-    Bounds,
-    Dataset,
+from reliopt.data import Bounds, Dataset, generate_synthetic
+from reliopt.errors import DimensionMismatchError, SingleClassDatasetError, SingularHessianError
+from reliopt.logistic import (
+    FALLBACK_RIDGE,
     LogisticModel,
     fit,
-    generate_synthetic,
     gradient,
     hessian,
     log_likelihood,
@@ -19,7 +19,8 @@ from reliopt import (
     reliability,
     sigmoid,
 )
-from reliopt.errors import DimensionMismatchError, SingleClassDatasetError
+
+from conftest import duplicated_large_column_dataset
 
 
 def make_model(*beta, names=None):
@@ -200,7 +201,7 @@ class TestFit:
             labels=np.array([0, 1]),
             feature_names=("x1",),
         )
-        model, report = fit(ds, ridge=0.0)
+        model, report = fit(ds)
         assert not report.converged
         assert report.iterations == 100
         assert np.isfinite(model.beta).all()
@@ -245,6 +246,31 @@ class TestFit:
         a, _ = fit(ds)
         b, _ = fit(shuffled)
         assert np.allclose(a.beta, b.beta, atol=1e-10, rtol=0)
+
+    def test_duplicated_column_fits_with_fallback_ridge(self):
+        rng = np.random.default_rng(1)
+        x = rng.normal(size=(30, 2))
+        ds = Dataset(
+            features=np.column_stack([x, x[:, 1]]),
+            labels=rng.integers(0, 2, 30),
+            feature_names=("a", "b", "b_copy"),
+        )
+        model, report = fit(ds)
+        assert report.ridge_used == FALLBACK_RIDGE
+        assert report.converged
+        assert np.isfinite(model.beta).all()
+
+    def test_singular_even_with_fallback_ridge(self):
+        with pytest.raises(SingularHessianError, match="even with the fallback ridge"):
+            fit(duplicated_large_column_dataset())
+
+    def test_reported_gradient_is_the_public_gradient(self):
+        rng = np.random.default_rng(11)
+        for _ in range(40):
+            _, ds = random_case(rng, m=int(rng.integers(10, 41)))
+            model, report = fit(ds)
+            assert report.ridge_used == 0.0
+            assert report.max_abs_gradient == float(np.abs(gradient(model, ds)).max())
 
     def test_gradient_below_tolerance_at_optimum(self, six_point_dataset):
         model, report = fit(six_point_dataset, grad_tol=1e-10)

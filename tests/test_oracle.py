@@ -3,14 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from reliopt import (
-    Bounds,
-    LogisticModel,
-    corner_optimum,
-    enumerate_corners,
-    reliability,
-)
-from reliopt.errors import DimensionMismatchError, DimensionTooLargeError
+from reliopt.data import Bounds
+from reliopt.errors import DimensionMismatchError
+from reliopt.logistic import LogisticModel, reliability
+from reliopt.oracle import corner_optimum
+
+from oracles import DimensionTooLargeError, enumerate_corners
 
 
 def model_of(*beta):

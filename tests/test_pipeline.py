@@ -1,30 +1,27 @@
 import itertools
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reliopt import (
-    Bounds,
+from reliopt.data import Bounds, compute_bounds, generate_synthetic
+from reliopt.logistic import fit, model_from_json, reliability
+from reliopt.oracle import CornerSolution, corner_optimum
+from reliopt.pipeline import (
     EnsembleRun,
     PipelineConfig,
-    SwarmConfig,
-    SwarmResult,
-    compute_bounds,
-    corner_optimum,
-    fit,
-    generate_synthetic,
-    model_from_json,
     normalized_distance,
     optimize_reliability,
-    reliability,
     report_to_json,
     run_pipeline,
     select_prescriptions,
 )
-from reliopt.oracle import CornerSolution
+from reliopt.pso import SwarmConfig, SwarmResult
+
+from oracles import within
 
 
 @pytest.fixture(scope="module")
@@ -155,10 +152,10 @@ class TestRunPipeline:
         top = max(r.result.best_value for r in report.ensemble)
         assert report.corner.value >= top
         for run in report.ensemble:
-            assert report.bounds.contains(run.result.best_position)
+            assert within(report.bounds, run.result.best_position)
         for p in report.prescriptions:
             assert report.corner.value >= p.reliability
-            assert report.bounds.contains(p.position)
+            assert within(report.bounds, p.position)
 
     def test_corner_is_seed_independent(self, synthetic):
         a = run_pipeline(synthetic, pipeline_config(base_seed=0, runs=2))
@@ -200,6 +197,10 @@ class TestRunPipeline:
         for p in report.prescriptions:
             assert p.position.shape == (9,)
             assert 0.0 < p.reliability < 1.0
+        # eq=False: identity comparison, not an ndarray truth-value error
+        first, second = report.prescriptions
+        assert first == first and first != second
+        assert replace(report, prescriptions=(second, first)) != report
 
 
 class TestReportJson:
@@ -229,12 +230,12 @@ class TestReportJson:
         model, _ = model_from_json(json.dumps(payload["model"]))
         for entry in payload["prescriptions"]:
             again = reliability(model, np.asarray(entry["position"]))
-            assert abs(again - entry["reliability"]) <= 1e-12
+            assert again == entry["reliability"]
         corner_again = reliability(model, np.asarray(payload["corner"]["position"]))
-        assert abs(corner_again - payload["corner"]["value"]) <= 1e-12
+        assert corner_again == payload["corner"]["value"]
         for entry in payload["ensemble"]:
             again = reliability(model, np.asarray(entry["best_position"]))
-            assert abs(again - entry["best_value"]) <= 1e-12
+            assert again == entry["best_value"]
 
 
 class TestConfigValidation:
