@@ -1,14 +1,16 @@
 """Labeled financial-ratio datasets: loading, imputation, bounds, synthesis.
 
-CSV dialect: UTF-8, comma delimited, mandatory header row, ``.`` decimal
-separator. A missing cell is an empty field or the literal ``NA``
-(case-insensitive). Labels are binary: 1 = healthy, 0 = bankrupt.
+CSV dialect: UTF-8 (a leading byte order mark is skipped), comma delimited,
+mandatory header row of distinct names, ``.`` decimal separator. A missing
+cell is an empty field or the literal ``NA`` (case-insensitive). Labels are
+binary: 1 = healthy, 0 = bankrupt.
 """
 
 from __future__ import annotations
 
 import csv
 import enum
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -159,27 +161,18 @@ def mean_impute(features: np.ndarray) -> np.ndarray:
     return out
 
 
-def load_dataset(
-    path: str | Path,
-    label_column: str,
-    policy: MissingPolicy = MissingPolicy.MEAN_IMPUTE,
-) -> Dataset:
-    """Read a labeled CSV file into a Dataset.
-
-    The label column is removed from the feature matrix; row order is
-    preserved. Missing feature cells are handled per ``policy``; a missing
-    label cell is always an error.
-    """
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"no such file: {path}")
-
-    with open(path, newline="", encoding="utf-8") as handle:
+def _read_rows(path: Path, label_column: str):
+    """The feature names, parsed feature rows and labels of a CSV file."""
+    # utf-8-sig drops the byte order mark that spreadsheet exports put first
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         try:
             header = [name.strip() for name in next(reader)]
         except StopIteration:
             raise MalformedRowError(f"{path}: file is empty, a header row is required") from None
+        duplicates = [name for name, count in Counter(header).items() if count > 1]
+        if duplicates:
+            raise MalformedRowError(f"{path}: duplicate column names {duplicates}")
         if label_column not in header:
             raise UnknownLabelColumnError(f"{path}: no column named {label_column!r}")
         label_index = header.index(label_column)
@@ -209,6 +202,28 @@ def load_dataset(
                     if i != label_index
                 ]
             )
+    return feature_names, rows, labels
+
+
+def load_dataset(
+    path: str | Path,
+    label_column: str,
+    policy: MissingPolicy = MissingPolicy.MEAN_IMPUTE,
+) -> Dataset:
+    """Read a labeled CSV file into a Dataset.
+
+    The label column is removed from the feature matrix; row order is
+    preserved. Missing feature cells are handled per ``policy``; a missing
+    label cell is always an error.
+    """
+    path = Path(path)
+    if not path.exists():
+        raise FileNotFoundError(f"no such file: {path}")
+
+    try:
+        feature_names, rows, labels = _read_rows(path, label_column)
+    except UnicodeDecodeError:
+        raise MalformedRowError(f"{path}: not UTF-8 text") from None
 
     if not rows:
         raise InvalidDimensionsError(f"{path}: no data rows")

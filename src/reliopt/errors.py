@@ -6,7 +6,8 @@ class ReliOptError(Exception):
 
 
 class MalformedRowError(ReliOptError):
-    """A CSV row has the wrong field count or a non-numeric feature cell."""
+    """A CSV file is not UTF-8 text, its header repeats a name, or a row has
+    the wrong field count or a non-numeric feature cell."""
 
 
 class UnknownLabelColumnError(ReliOptError):

@@ -33,32 +33,20 @@ FALLBACK_RIDGE = 1e-8
 def sigmoid(t):
     """Numerically stable logistic function, elementwise.
 
-    Both branches keep the exponent non-positive, so there is no overflow
-    for any finite argument; scalars in, scalar out.
+    ``1 / (1 + e)`` for ``t >= 0`` and ``e / (1 + e)`` below, with
+    ``e = exp(-|t|)``: the exponent is never positive, so there is no
+    overflow for any finite argument; scalars in, scalar out.
     """
     arr = np.asarray(t, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    out = np.empty_like(arr)
-    pos = arr >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-arr[pos]))
-    e = np.exp(arr[~pos])
-    out[~pos] = e / (1.0 + e)
-    return float(out[0]) if scalar else out
+    e = np.exp(-np.abs(arr))
+    out = np.where(arr >= 0, 1.0, e) / (1.0 + e)
+    return float(out) if out.ndim == 0 else out
 
 
 def log_sigmoid(t):
     """log(sigmoid(t)) without underflowing the probability first."""
     arr = np.asarray(t, dtype=float)
     return np.minimum(arr, 0.0) - np.log1p(np.exp(-np.abs(arr)))
-
-
-def _sigmoid_scalar(t: float) -> float:
-    # fast path for the optimizer's per-point objective calls
-    if t >= 0:
-        return 1.0 / (1.0 + math.exp(-t))
-    e = math.exp(t)
-    return e / (1.0 + e)
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,19 +83,39 @@ class FitReport:
     ridge_used: float
 
 
-def _check_features(model: LogisticModel, x) -> np.ndarray:
+def reliability_rows(model: LogisticModel, rows) -> np.ndarray:
+    """Reliability of each row of an ``(m, n)`` block of ratio vectors.
+
+    The score is accumulated in fixed column order, ``b0 + x1*b1 + ... +
+    xn*bn``, one elementwise operation per column, so a row's value is
+    bit-identical whatever block it is evaluated in: alone, in a chunk or in
+    a whole stacked swarm. A BLAS matrix-vector product would not be, since
+    its summation order depends on the block.
+    """
+    rows = np.asarray(rows, dtype=float)
+    if rows.ndim != 2 or rows.shape[1] != model.n_features:
+        raise DimensionMismatchError(
+            f"expected rows of {model.n_features} features, got shape {rows.shape}"
+        )
+    intercept, *coefficients = model.beta.tolist()
+    t = np.full(rows.shape[0], intercept)
+    for column, coefficient in zip(rows.T, coefficients):
+        t += column * coefficient
+    return sigmoid(t)
+
+
+def reliability(model: LogisticModel, x) -> float:
+    """Probability of the healthy label for ratio vector x, in (0, 1).
+
+    The one-row call of ``reliability_rows``: the same bits as that row
+    evaluated inside any block.
+    """
     x = np.asarray(x, dtype=float)
     if x.shape != (model.n_features,):
         raise DimensionMismatchError(
             f"expected {model.n_features} features, got shape {x.shape}"
         )
-    return x
-
-
-def reliability(model: LogisticModel, x) -> float:
-    """Probability of the healthy label for ratio vector x, in (0, 1)."""
-    x = _check_features(model, x)
-    return _sigmoid_scalar(float(model.beta[0] + model.beta[1:] @ x))
+    return float(reliability_rows(model, x[np.newaxis])[0])
 
 
 def _check_dataset(model: LogisticModel, dataset: Dataset) -> np.ndarray:

@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
+from functools import partial
 
 import numpy as np
 
 from .data import Bounds, Dataset, compute_bounds
-from .logistic import FitReport, LogisticModel, fit, model_to_json, reliability
+from .logistic import FitReport, LogisticModel, fit, model_to_json, reliability_rows
 from .oracle import CornerSolution, corner_optimum
 from .pso import SwarmConfig, SwarmResult, maximize
 
@@ -128,28 +129,36 @@ def optimize_reliability(
     """Stage two on its own: ensemble swarm search against a fixed model.
 
     Deterministic given (model, bounds, config): run i is seeded with
-    ``base_seed + i`` and the ensemble is kept in seed order.
+    ``base_seed + i`` and the ensemble is kept in seed order. A fit that did
+    not converge or needed the fallback ridge, and a prescription shortfall,
+    each add one line to ``warnings``.
     """
     corner = corner_optimum(model, bounds)
-
-    def objective(x) -> float:
-        return reliability(model, x)
-
-    ensemble = tuple(
-        EnsembleRun(seed=seed, result=maximize(objective, bounds, replace(config.swarm, seed=seed)))
-        for seed in range(config.base_seed, config.base_seed + config.n_runs)
-    )
+    seeds = range(config.base_seed, config.base_seed + config.n_runs)
+    results = maximize(partial(reliability_rows, model), bounds, config.swarm, seeds)
+    ensemble = tuple(EnsembleRun(seed=seed, result=result) for seed, result in zip(seeds, results))
 
     prescriptions = tuple(
         select_prescriptions(
             ensemble, corner, bounds, config.n_prescriptions, config.distinctness_radius
         )
     )
-    warnings: tuple[str, ...] = ()
+    warnings = []
+    if fit_report is not None and not fit_report.converged:
+        warnings.append(
+            f"fit did not converge after {fit_report.iterations} iterations "
+            f"(max |gradient| {fit_report.max_abs_gradient:.3g}); "
+            "the data may be perfectly separated"
+        )
+    if fit_report is not None and fit_report.ridge_used > 0:
+        warnings.append(
+            f"fit needed the fallback ridge {fit_report.ridge_used:g}: "
+            "the curvature was singular, e.g. from collinear ratios"
+        )
     if len(prescriptions) < config.n_prescriptions:
-        warnings = (
+        warnings.append(
             f"prescription shortfall: requested {config.n_prescriptions}, "
-            f"found {len(prescriptions)} distinct solutions",
+            f"found {len(prescriptions)} distinct solutions"
         )
     return PrescriptionReport(
         model=model,
@@ -158,7 +167,7 @@ def optimize_reliability(
         ensemble=ensemble,
         prescriptions=prescriptions,
         config=config,
-        warnings=warnings,
+        warnings=tuple(warnings),
         fit_report=fit_report,
     )
 

@@ -6,18 +6,23 @@ The canonical update, per particle and coordinate:
     x <- clamp(x + v, lower, upper)
 
 with the inertia weight w falling linearly from ``w_start`` to ``w_end``
-across the iteration budget. Runs are bit-reproducible for a given seed.
+across the iteration budget. Runs are bit-reproducible for a given seed,
+whether run alone or stacked with others.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import Bounds
 from .errors import DimensionMismatchError
+
+# Largest (runs, pop, n) swarm array one stacked group may hold, in floats.
+STACK_FLOATS = 2**16
 
 
 @dataclass(frozen=True)
@@ -123,70 +128,101 @@ def position_update(x_old, v_new, bounds: Bounds):
     return np.clip(x_old + v_new, bounds.lower, bounds.upper)
 
 
-def maximize(objective, bounds: Bounds, config: SwarmConfig) -> SwarmResult:
-    """Run one seeded swarm and return the global best.
+def maximize(
+    objective, bounds: Bounds, config: SwarmConfig, seeds: Iterable[int]
+) -> list[SwarmResult]:
+    """Run one seeded swarm per seed and return each run's global best.
 
-    Draw order (frozen for reproducibility): initial positions, then initial
-    velocities, both particle-major; per update sweep one ``(pop, 2, n)``
-    uniform block, i.e. r1 then r2 for particle 0, then particle 1, and so on.
+    ``objective`` is a batch objective: it maps an ``(m, n)`` block of
+    positions to their ``(m,)`` values, and a row's value must not depend on
+    the block it comes in. Results come back in seed order.
+
+    The runs are stacked into one ``(runs, pop, n)`` swarm, in groups of at
+    most ``STACK_FLOATS`` floats per array (at least one run each), so every
+    sweep makes one update and one objective call per group. Each run keeps
+    its own ``np.random.default_rng(seed)`` and draws in a frozen order:
+    initial positions, then initial velocities, both particle-major; per
+    update sweep one ``(pop, 2, n)`` uniform block, i.e. r1 then r2 for
+    particle 0, then particle 1, and so on. A stacked run is therefore
+    bit-identical to the same seed run alone.
+
     Initial positions are uniform in the box, initial velocities uniform in
     ``+-(upper - lower)``. Degenerate dimensions (zero width) stay pinned at
     their bound: their positions, velocities and both difference terms are
-    identically zero throughout.
-
-    Every evaluated position lies inside the box.
+    identically zero throughout. Every evaluated position lies inside the box.
     """
-    rng = np.random.default_rng(config.seed)
+    seeds = list(seeds)
+    group = max(1, STACK_FLOATS // (config.population_size * bounds.n))
+    results: list[SwarmResult] = []
+    for start in range(0, len(seeds), group):
+        results += _stacked(objective, bounds, config, seeds[start : start + group])
+    return results
+
+
+def _stacked(objective, bounds: Bounds, config: SwarmConfig, seeds: list[int]) -> list[SwarmResult]:
+    rngs = [np.random.default_rng(seed) for seed in seeds]
     lower, upper = bounds.lower, bounds.upper
     span = bounds.span
     v_max = config.velocity_clamp_fraction * span
-    pop, n = config.population_size, bounds.n
+    runs, pop, n = len(seeds), config.population_size, bounds.n
+    shape = (runs, pop, n)
 
-    positions = rng.uniform(lower, upper, size=(pop, n))
-    velocities = rng.uniform(-span, span, size=(pop, n))
+    def evaluate(points):
+        return np.array(objective(points.reshape(runs * pop, n)), dtype=float).reshape(runs, pop)
 
-    values = np.fromiter((objective(x) for x in positions), dtype=float, count=pop)
+    positions = np.empty(shape)
+    velocities = np.empty(shape)
+    for rng, x, v in zip(rngs, positions, velocities):
+        x[...] = rng.uniform(lower, upper, size=(pop, n))
+        v[...] = rng.uniform(-span, span, size=(pop, n))
+
+    run = np.arange(runs)
     best_positions = positions.copy()
-    best_values = values.copy()
-    leader = int(np.argmax(best_values))
-    global_best = best_positions[leader].copy()
-    global_value = float(best_values[leader])
+    best_values = evaluate(positions)
+    leader = np.argmax(best_values, axis=1)
+    global_best = best_positions[run, leader]
+    global_value = best_values[run, leader]
     history = [global_value]
 
     sweeps = config.max_iterations
+    rand = np.empty((runs, pop, 2, 1 if config.scalar_rand else n))
     for sweep in range(sweeps):
         if sweeps == 1:
             w = config.w_start
         else:
             w = config.w_start + (config.w_end - config.w_start) * (sweep / (sweeps - 1))
-        rand_shape = (pop, 2, 1) if config.scalar_rand else (pop, 2, n)
-        rand = rng.random(rand_shape)
+        for rng, block in zip(rngs, rand):
+            rng.random(out=block)
         velocities = velocity_update(
             velocities,
             positions,
             best_positions,
-            np.broadcast_to(global_best, (pop, n)),
+            np.broadcast_to(global_best[:, np.newaxis], shape),
             w,
             config.c1,
             config.c2,
-            rand[:, 0, :],
-            rand[:, 1, :],
+            rand[:, :, 0, :],
+            rand[:, :, 1, :],
             v_max,
         )
         positions = position_update(positions, velocities, bounds)
-        values = np.fromiter((objective(x) for x in positions), dtype=float, count=pop)
+        values = evaluate(positions)
         improved = values > best_values
         best_positions[improved] = positions[improved]
         best_values[improved] = values[improved]
-        leader = int(np.argmax(best_values))
-        if best_values[leader] > global_value:
-            global_value = float(best_values[leader])
-            global_best = best_positions[leader].copy()
+        leader = np.argmax(best_values, axis=1)
+        gained = best_values[run, leader] > global_value
+        global_value = np.where(gained, best_values[run, leader], global_value)
+        global_best[gained] = best_positions[run[gained], leader[gained]]
         history.append(global_value)
 
-    return SwarmResult(
-        best_position=global_best,
-        best_value=global_value,
-        iterations_run=sweeps,
-        history=np.asarray(history),
-    )
+    trace = np.array(history)
+    return [
+        SwarmResult(
+            best_position=global_best[r],
+            best_value=float(global_value[r]),
+            iterations_run=sweeps,
+            history=trace[:, r],
+        )
+        for r in range(runs)
+    ]

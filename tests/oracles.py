@@ -6,16 +6,15 @@ vertex by exhaustive search, independently of the closed form in
 ``reliopt.oracle.corner_optimum``.
 """
 
-import itertools
-
 import numpy as np
 
 from reliopt.data import Bounds
 from reliopt.errors import ReliOptError
-from reliopt.logistic import LogisticModel, reliability
+from reliopt.logistic import LogisticModel, reliability_rows
 from reliopt.oracle import CornerSolution
 
 MAX_ENUMERATION_DIMS = 20
+CHUNK_CORNERS = 2**12  # corners scored per reliability_rows block
 
 
 class DimensionTooLargeError(ReliOptError):
@@ -29,21 +28,31 @@ def within(bounds: Bounds, x) -> bool:
 
 
 def enumerate_corners(model: LogisticModel, bounds: Bounds) -> CornerSolution:
-    """Best vertex by exhaustive 2**n search.
+    """Best vertex by exhaustive 2**n search, scored in fixed-size chunks.
 
-    Ties go to the lexicographically smallest sign vector (-1 before +1),
-    which the enumeration order delivers for free.
+    Corner k takes the upper bound in coordinate j when bit n-1-j of k is
+    set, so k counts through the sign vectors lexicographically (-1 before
+    +1). Ties go to the smallest sign vector: the first maximum of the first
+    chunk that holds one. ``reliability_rows`` gives a row the same bits in
+    any chunk.
     """
     n = bounds.n
     if n > MAX_ENUMERATION_DIMS:
         raise DimensionTooLargeError(f"refusing to enumerate 2**{n} corners")
 
+    shifts = np.arange(n - 1, -1, -1)
     best: CornerSolution | None = None
-    for signs in itertools.product((-1, 1), repeat=n):
-        sign_vector = np.asarray(signs, dtype=int)
-        position = np.where(sign_vector > 0, bounds.upper, bounds.lower)
-        value = reliability(model, position)
-        if best is None or value > best.value:
-            best = CornerSolution(position=position, value=value, active_signs=sign_vector)
+    for start in range(0, 2**n, CHUNK_CORNERS):
+        k = np.arange(start, min(start + CHUNK_CORNERS, 2**n))
+        upper = ((k[:, np.newaxis] >> shifts) & 1).astype(bool)
+        positions = np.where(upper, bounds.upper, bounds.lower)
+        values = reliability_rows(model, positions)
+        i = int(np.argmax(values))
+        if best is None or values[i] > best.value:
+            best = CornerSolution(
+                position=positions[i],
+                value=float(values[i]),
+                active_signs=np.where(upper[i], 1, -1),
+            )
     assert best is not None
     return best

@@ -6,6 +6,7 @@ import json
 import re
 import time
 from contextlib import contextmanager
+from functools import partial
 
 import numpy as np
 import pytest
@@ -18,14 +19,13 @@ from reliopt import (
     SwarmConfig,
     fit,
     load_dataset,
-    reliability,
     report_to_json,
     run_pipeline,
     save_dataset,
 )
 from reliopt.cli import render_report_table
 from reliopt.data import MissingPolicy, generate_synthetic
-from reliopt.logistic import gradient, log_likelihood
+from reliopt.logistic import gradient, log_likelihood, reliability_rows
 from reliopt.oracle import corner_optimum
 from reliopt.pipeline import normalized_distance, optimize_reliability
 from reliopt.pso import maximize, position_update, velocity_update
@@ -137,10 +137,11 @@ def test_04_swarm_reaches_corner_oracle():
             for seed in CORNER_CASE_SEEDS:
                 model, bounds = corner_case(seed)
                 corner = corner_optimum(model, bounds)
-                result = maximize(
-                    lambda x: reliability(model, x),
+                (result,) = maximize(
+                    partial(reliability_rows, model),
                     bounds,
                     SwarmConfig(population_size=50, max_iterations=500, seed=seed),
+                    [seed],
                 )
                 assert result.best_value <= corner.value
                 if abs(result.best_value - corner.value) <= 1e-6:

@@ -111,6 +111,29 @@ class TestFit:
         assert "singular" in lines[0] and "enable" not in lines[0]
 
 
+    def test_byte_order_mark_before_label_column(self, tmp_path, capsys):
+        # used to end in "no column named 'label'" with exit 2
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbflabel,a\n1,0.5\n0,0.2\n1,0.9\n0,0.7\n")
+        assert run_cli("fit", "--data", str(path), "--label", "label", "--json") == 0
+        assert json.loads(capsys.readouterr().out)["feature_names"] == ["a"]
+
+    def test_non_utf8_file_exit_1_names_it(self, tmp_path, capsys):
+        # a Latin-1 cell used to end in a UnicodeDecodeError traceback
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("a,label\n\u00e9,1\n0.1,0\n".encode("latin-1"))
+        assert run_cli("fit", "--data", str(path), "--label", "label") == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {path}: not UTF-8 text\n"
+
+    def test_duplicate_header_names_exit_1(self, tmp_path, capsys):
+        # used to fit a model with two features both named 'a'
+        path = write_csv(tmp_path / "dup.csv", "a,a,label\n1,2,1\n3,4,0\n5,1,1\n")
+        assert run_cli("fit", "--data", path, "--label", "label") == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "duplicate column names ['a']" in captured.err
+
+
 class TestOptimize:
     @pytest.fixture()
     def model_json(self, synth_csv, tmp_path):
@@ -467,6 +490,76 @@ def test_any_config_body_exits_cleanly(tiny_csv, tmp_path, capsys, body):
     else:
         assert captured.out == "" and captured.err.startswith("error:")
 
+
+_FAULTS = ["not utf-8", "duplicate name", "junk cell", "bad label", "--pop 1", "--iters 0", "--runs 0"]
+
+
+@st.composite
+def cli_cases(draw):
+    """CSV bytes and the arguments of a ``fit`` or ``pipeline`` command, with
+    BOM, NA cells and separable labels drawn at will, plus up to two faults
+    (pop <= 8, iters <= 3, runs <= 3 keep every example fast)."""
+    faults = draw(st.lists(st.sampled_from(_FAULTS), max_size=2))
+    names = [f"r{j}" for j in range(draw(st.integers(1, 3)))]
+    if "duplicate name" in faults:
+        names.append(names[0])
+    separable = draw(st.booleans())
+    rows = []
+    for i in range(draw(st.integers(2, 8))):
+        cells = [
+            draw(st.sampled_from(["NA", ""])) if draw(st.integers(0, 5)) == 0
+            else repr(draw(st.floats(-1e6, 1e6)))
+            for _ in names
+        ]
+        rows.append((cells, str(i % 2) if separable else draw(st.sampled_from("01"))))
+    if "junk cell" in faults:
+        rows[-1][0][0] = draw(st.sampled_from(["x", "inf", "1e400"]))
+    if "bad label" in faults:
+        rows[-1] = (rows[-1][0], draw(st.sampled_from(["", "2", "yes"])))
+    at = draw(st.integers(0, len(names)))
+    lines = [names[:at] + ["label"] + names[at:]]
+    lines += [cells[:at] + [label] + cells[at:] for cells, label in rows]
+    data = "".join(",".join(line) + "\n" for line in lines).encode("utf-8")
+    if draw(st.booleans()):
+        data = b"\xef\xbb\xbf" + data
+    if "not utf-8" in faults:
+        cut = draw(st.integers(0, len(data)))
+        data = data[:cut] + b"\xe9" + data[cut:]
+
+    command = draw(st.sampled_from(["fit", "pipeline"]))
+    args = [command, "--label", "label", "--json"]
+    if draw(st.booleans()):
+        args += ["--missing", draw(st.sampled_from(["mean", "reject"]))]
+    if command == "pipeline":
+        sizes = {
+            "--pop": draw(st.integers(2, 8)),
+            "--iters": draw(st.integers(1, 3)),
+            "--runs": draw(st.integers(1, 3)),
+        }
+        sizes.update(fault.split() for fault in faults if fault.startswith("--"))
+        for flag, value in sizes.items():
+            args += [flag, str(value)]
+        args += ["--seed", str(draw(st.integers(0, 99)))]
+        args += ["--prescriptions", str(draw(st.integers(0, 1)))]
+    return data, args
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=cli_cases())
+def test_any_csv_and_flags_exit_cleanly(tmp_path, capsys, case):
+    data, args = case
+    path = tmp_path / "any.csv"
+    path.write_bytes(data)
+    capsys.readouterr()
+    code = run_cli(*args, "--data", str(path))
+    captured = capsys.readouterr()
+    assert code in (0, 1, 2)
+    if code == 0:
+        json.loads(captured.out)
+        assert captured.err == ""
+    else:
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
 class TestHelp:
     @pytest.mark.parametrize("cmd", [[], ["fit"], ["optimize"], ["pipeline"], ["gen"]])

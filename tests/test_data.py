@@ -119,6 +119,28 @@ class TestLoadDataset:
         with pytest.raises(MalformedRowError, match="non-finite"):
             load_dataset(path, "label")
 
+    def test_byte_order_mark_skipped(self, tmp_path):
+        # spreadsheet exports start UTF-8 files with a BOM; the label came first
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"\xef\xbb\xbflabel,a\n1,0.5\n0,0.25\n")
+        ds = load_dataset(path, "label")
+        assert ds.feature_names == ("a",)
+        assert ds.labels.tolist() == [1, 0]
+
+    def test_non_utf8_file_is_typed_error_naming_it(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("a,label\n\u00e9,1\n0.1,0\n".encode("latin-1"))
+        with pytest.raises(MalformedRowError, match="latin1.csv: not UTF-8 text"):
+            load_dataset(path, "label")
+
+    @pytest.mark.parametrize(
+        "text", ["a,a,label\n1,2,1\n3,4,0\n", "a,b,a,label\n1,2,3,1\n4,5,6,0\n"]
+    )
+    def test_duplicate_header_names_rejected(self, tmp_path, text):
+        path = write_csv(tmp_path / "d.csv", text)
+        with pytest.raises(MalformedRowError, match=r"duplicate column names \['a'\]"):
+            load_dataset(path, "label")
+
     def test_round_trip_identity(self, tmp_path):
         original = Dataset(
             features=np.random.default_rng(11).normal(size=(7, 3)) * 1e3,

@@ -17,6 +17,7 @@ from reliopt.logistic import (
     model_from_json,
     model_to_json,
     reliability,
+    reliability_rows,
     sigmoid,
 )
 
@@ -96,6 +97,39 @@ class TestSigmoid:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             reliability(make_model(0.0, 1.0), [1.0, 2.0])
+
+
+class TestReliabilityKernel:
+    @given(
+        n=st.integers(1, 12),
+        m=st.integers(1, 800),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.sampled_from([1e-3, 1.0, 30.0, 1e3]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_block_equals_row_by_row(self, n, m, seed, scale):
+        # the same bits for a row alone and inside any block: no BLAS order
+        rng = np.random.default_rng(seed)
+        model = make_model(*(scale * rng.normal(size=n + 1)))
+        lower = rng.uniform(-5.0, 5.0, n)
+        rows = rng.uniform(lower, lower + rng.uniform(0.0, 10.0, n), size=(m, n))
+        block = reliability_rows(model, rows)
+        assert block.shape == (m,)
+        assert np.array_equal(block, [reliability(model, x) for x in rows])
+        cut = int(rng.integers(1, m + 1))
+        chunks = [reliability_rows(model, rows[i : i + cut]) for i in range(0, m, cut)]
+        assert np.array_equal(block, np.concatenate(chunks))
+
+    def test_matches_sigmoid_of_the_column_order_score(self):
+        model = make_model(0.5, -1.0, 2.0)
+        rows = np.array([[1.0, 0.25], [-3.0, 4.0]])
+        expected = sigmoid((0.5 + rows[:, 0] * -1.0) + rows[:, 1] * 2.0)
+        assert np.array_equal(reliability_rows(model, rows), expected)
+
+    @pytest.mark.parametrize("shape", [(2,), (3, 1), (3, 3), (1, 2, 2)])
+    def test_dimension_mismatch(self, shape):
+        with pytest.raises(DimensionMismatchError):
+            reliability_rows(make_model(0.0, 1.0, 1.0), np.zeros(shape))
 
 
 class TestLogLikelihood:

@@ -1,14 +1,16 @@
 import itertools
 import json
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reliopt.data import Bounds, compute_bounds, generate_synthetic
-from reliopt.logistic import fit, model_from_json, reliability
+from reliopt import pso
+from reliopt.data import Bounds, Dataset, compute_bounds, generate_synthetic, load_dataset
+from reliopt.logistic import fit, model_from_json, reliability, reliability_rows
 from reliopt.oracle import CornerSolution, corner_optimum
 from reliopt.pipeline import (
     EnsembleRun,
@@ -19,8 +21,9 @@ from reliopt.pipeline import (
     run_pipeline,
     select_prescriptions,
 )
-from reliopt.pso import SwarmConfig, SwarmResult
+from reliopt.pso import SwarmConfig, SwarmResult, maximize
 
+from conftest import write_csv
 from oracles import within
 
 
@@ -201,6 +204,72 @@ class TestRunPipeline:
         first, second = report.prescriptions
         assert first == first and first != second
         assert replace(report, prescriptions=(second, first)) != report
+
+
+class TestFitWarnings:
+    def test_separable_fit_warns(self, tmp_path):
+        path = write_csv(tmp_path / "sep.csv", "a,label\n0,0\n1,0\n2,1\n3,1\n")
+        report = run_pipeline(load_dataset(path, "label"), pipeline_config(pop=5, runs=2))
+        assert not report.fit_report.converged
+        fit_warnings = [w for w in report.warnings if w.startswith("fit did not converge")]
+        assert fit_warnings == [
+            f"fit did not converge after 100 iterations "
+            f"(max |gradient| {report.fit_report.max_abs_gradient:.3g}); "
+            "the data may be perfectly separated"
+        ]
+        assert json.loads(report_to_json(report))["warnings"] == list(report.warnings)
+
+    def test_fallback_ridge_warns(self):
+        rng = np.random.default_rng(1)
+        x = rng.normal(size=(30, 2))
+        ds = Dataset(
+            features=np.column_stack([x, x[:, 1]]),
+            labels=rng.integers(0, 2, 30),
+            feature_names=("a", "b", "b_copy"),
+        )
+        report = run_pipeline(ds, pipeline_config(pop=5, runs=2, n_prescriptions=0))
+        assert report.fit_report.converged
+        assert report.warnings == (
+            "fit needed the fallback ridge 1e-08: "
+            "the curvature was singular, e.g. from collinear ratios",
+        )
+
+    def test_converged_fit_gives_no_warnings(self, synthetic):
+        report = run_pipeline(synthetic, pipeline_config(runs=3, n_prescriptions=0))
+        assert report.fit_report.converged and report.fit_report.ridge_used == 0.0
+        assert report.warnings == ()
+
+    def test_optimize_without_fit_report_gives_no_fit_warning(self, synthetic):
+        model, _ = fit(synthetic)
+        report = optimize_reliability(
+            model, compute_bounds(synthetic), pipeline_config(runs=2, n_prescriptions=0)
+        )
+        assert report.warnings == ()
+
+
+class TestStackedEnsemble:
+    @pytest.mark.parametrize("stack_floats", [1, 3 * 20 * 4])
+    def test_grouping_keeps_report_bytes(self, synthetic, monkeypatch, stack_floats):
+        # 7 runs of 20 particles in 4 dimensions: one group by default, then
+        # one run per group, then groups of 3, 3 and 1
+        config = pipeline_config(runs=7, iters=6)
+        default = report_to_json(run_pipeline(synthetic, config))
+        monkeypatch.setattr(pso, "STACK_FLOATS", stack_floats)
+        assert report_to_json(run_pipeline(synthetic, config)) == default
+
+    def test_runs_match_single_seed_swarms(self, synthetic):
+        config = pipeline_config(runs=5, iters=8, base_seed=30)
+        report = run_pipeline(synthetic, config)
+        for run in report.ensemble:
+            (alone,) = maximize(
+                partial(reliability_rows, report.model),
+                report.bounds,
+                config.swarm,
+                [run.seed],
+            )
+            assert np.array_equal(alone.best_position, run.result.best_position)
+            assert alone.best_value == run.result.best_value
+            assert np.array_equal(alone.history, run.result.history)
 
 
 class TestReportJson:

@@ -1,11 +1,14 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reliopt import pso
 from reliopt.data import Bounds
 from reliopt.errors import DimensionMismatchError
-from reliopt.logistic import LogisticModel, reliability
+from reliopt.logistic import LogisticModel, reliability, reliability_rows
 from reliopt.oracle import corner_optimum
 from reliopt.pso import SwarmConfig, maximize, position_update, velocity_update
 
@@ -18,12 +21,17 @@ def unit_box(n):
     return Bounds(np.zeros(n), np.ones(n))
 
 
-def sphere(x):
-    return -float(((x - 0.5) ** 2).sum())
+def sphere(rows):
+    # one value per row, summed in fixed column order like reliability_rows
+    total = np.zeros(rows.shape[0])
+    for column in rows.T:
+        total -= (column - 0.5) ** 2
+    return total
 
 
-def swarm(pop, iters, seed, **kw):
-    return SwarmConfig(population_size=pop, max_iterations=iters, seed=seed, **kw)
+def swarm(pop, iters, **kw):
+    # maximize takes its seeds as an argument; the config's seed is not read
+    return SwarmConfig(population_size=pop, max_iterations=iters, seed=0, **kw)
 
 
 class TestVelocityUpdate:
@@ -154,59 +162,64 @@ class TestConfigValidation:
 
 class TestMaximize:
     def test_sphere_reaches_analytic_maximum(self):
-        result = maximize(sphere, unit_box(3), swarm(30, 200, seed=0))
+        (result,) = maximize(sphere, unit_box(3), swarm(30, 200), [0])
         assert result.best_value >= -1e-6
 
     def test_logistic_corner_example(self):
         model = LogisticModel(beta=np.array([0.0, 2.0, -1.0]), feature_names=("a", "b"))
         bounds = Bounds(np.array([-1.0, 0.0]), np.array([1.0, 3.0]))
-        result = maximize(lambda x: reliability(model, x), bounds, swarm(40, 300, seed=0))
+        (result,) = maximize(partial(reliability_rows, model), bounds, swarm(40, 300), [0])
         assert np.abs(result.best_position - np.array([1.0, 0.0])).max() <= 1e-4
         assert abs(result.best_value - SIGMA_2) <= 1e-6
 
     def test_bitwise_deterministic(self):
-        a = maximize(sphere, unit_box(4), swarm(15, 60, seed=123))
-        b = maximize(sphere, unit_box(4), swarm(15, 60, seed=123))
+        (a,) = maximize(sphere, unit_box(4), swarm(15, 60), [123])
+        (b,) = maximize(sphere, unit_box(4), swarm(15, 60), [123])
         assert np.array_equal(a.best_position, b.best_position)
         assert a.best_value == b.best_value
         assert a.iterations_run == b.iterations_run
         assert np.array_equal(a.history, b.history)
 
     def test_different_seeds_differ(self):
-        a = maximize(sphere, unit_box(4), swarm(15, 5, seed=1))
-        b = maximize(sphere, unit_box(4), swarm(15, 5, seed=2))
+        (a,) = maximize(sphere, unit_box(4), swarm(15, 5), [1])
+        (b,) = maximize(sphere, unit_box(4), swarm(15, 5), [2])
         assert not np.array_equal(a.best_position, b.best_position)
 
     def test_degenerate_dimension_pinned(self):
         bounds = Bounds(np.array([0.0, 2.5]), np.array([1.0, 2.5]))
         seen = []
 
-        def probe(x):
-            seen.append(x.copy())
-            return sphere(x)
+        def probe(rows):
+            seen.append(rows.copy())
+            return sphere(rows)
 
-        result = maximize(probe, bounds, swarm(10, 20, seed=3))
+        (result,) = maximize(probe, bounds, swarm(10, 20), [3])
         assert result.best_position[1] == 2.5
-        assert all(x[1] == 2.5 for x in seen)
+        assert len(seen) == 21 and all(rows.shape == (10, 2) for rows in seen)
+        assert all((rows[:, 1] == 2.5).all() for rows in seen)
 
     def test_every_evaluation_feasible(self):
         bounds = Bounds(np.array([-2.0, 1.0, 0.0]), np.array([-1.0, 4.0, 0.5]))
 
-        def guarded(x):
-            assert within(bounds, x)
-            return float(x.sum())
+        seen = []
 
-        maximize(guarded, bounds, swarm(25, 50, seed=9))
+        def guarded(rows):
+            seen.append(len(rows))
+            assert all(within(bounds, x) for x in rows)
+            return rows[:, 0] + rows[:, 1] + rows[:, 2]
+
+        maximize(guarded, bounds, swarm(25, 50), seeds=[9, 10])
+        assert seen == [50] * 51
 
     def test_history_monotone_and_consistent(self):
-        result = maximize(sphere, unit_box(3), swarm(12, 40, seed=5))
+        (result,) = maximize(sphere, unit_box(3), swarm(12, 40), [5])
         assert len(result.history) == result.iterations_run + 1
         assert (np.diff(result.history) >= 0).all()
         assert result.history[-1] == result.best_value
 
     def test_elitism_over_initial_population(self):
         # history[0] is the best initial value; the trace never drops below it
-        result = maximize(sphere, unit_box(5), swarm(20, 30, seed=8))
+        (result,) = maximize(sphere, unit_box(5), swarm(20, 30), [8])
         assert result.best_value >= result.history[0]
 
     @pytest.mark.parametrize("seed", range(6))
@@ -216,27 +229,84 @@ class TestMaximize:
             beta=np.array([0.0, 2.0, -1.0, 0.5]), feature_names=("a", "b", "c")
         )
         bounds = Bounds(np.array([-1.0, 0.0, -2.0]), np.array([1.0, 3.0, 2.0]))
-        objective = lambda x: reliability(model, x)
-        short = maximize(objective, bounds, swarm(20, budget, seed=seed))
-        long = maximize(objective, bounds, swarm(20, 2 * budget, seed=seed))
+        objective = partial(reliability_rows, model)
+        (short,) = maximize(objective, bounds, swarm(20, budget), [seed])
+        (long,) = maximize(objective, bounds, swarm(20, 2 * budget), [seed])
         assert long.best_value >= short.best_value
 
     def test_single_iteration_budget(self):
-        result = maximize(sphere, unit_box(2), swarm(5, 1, seed=0))
+        (result,) = maximize(sphere, unit_box(2), swarm(5, 1), [0])
         assert result.iterations_run == 1
         assert len(result.history) == 2
 
     def test_scalar_rand_mode(self):
-        config = swarm(10, 20, seed=4, scalar_rand=True)
-        a = maximize(sphere, unit_box(3), config)
-        b = maximize(sphere, unit_box(3), config)
+        config = swarm(10, 20, scalar_rand=True)
+        (a,) = maximize(sphere, unit_box(3), config, [4])
+        (b,) = maximize(sphere, unit_box(3), config, [4])
         assert a.best_value == b.best_value
         assert np.isfinite(a.best_value)
 
     def test_result_arrays_immutable(self):
-        result = maximize(sphere, unit_box(2), swarm(5, 5, seed=0))
+        (result,) = maximize(sphere, unit_box(2), swarm(5, 5), [0])
         with pytest.raises(ValueError):
             result.best_position[0] = 9.9
+
+
+def random_problem(seed, n):
+    rng = np.random.default_rng(seed)
+    beta = rng.normal(size=n + 1) * rng.choice([0.1, 1.0, 10.0])
+    lower = rng.uniform(-3.0, 1.0, n)
+    upper = lower + rng.uniform(0.0, 4.0, n) * (rng.random(n) < 0.9)
+    model = LogisticModel(beta=beta, feature_names=tuple(f"x{i}" for i in range(n)))
+    return model, Bounds(lower, upper)
+
+
+class TestStackedRuns:
+    @given(
+        n=st.integers(1, 9),
+        pop=st.integers(2, 12),
+        iters=st.integers(1, 12),
+        seeds=st.lists(st.integers(0, 2**32), min_size=1, max_size=6),
+        case=st.integers(0, 2**32 - 1),
+        scalar_rand=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_stacked_equals_each_seed_alone(self, n, pop, iters, seeds, case, scalar_rand):
+        model, bounds = random_problem(case, n)
+        objective = partial(reliability_rows, model)
+        config = swarm(pop, iters, scalar_rand=scalar_rand)
+        stacked = maximize(objective, bounds, config, seeds=seeds)
+        assert len(stacked) == len(seeds)
+        corner = corner_optimum(model, bounds)
+        for seed, result in zip(seeds, stacked):
+            (alone,) = maximize(objective, bounds, config, [seed])
+            assert np.array_equal(alone.best_position, result.best_position)
+            assert alone.best_value == result.best_value
+            assert np.array_equal(alone.history, result.history)
+            assert corner.value >= result.best_value
+            assert reliability(model, result.best_position) == result.best_value
+
+    def test_one_objective_call_per_sweep_for_all_runs(self):
+        calls = []
+
+        def counted(rows):
+            calls.append(rows.shape)
+            return sphere(rows)
+
+        maximize(counted, unit_box(3), swarm(6, 4), seeds=range(5))
+        assert calls == [(30, 3)] * 5
+
+    def test_groups_bound_the_stacked_arrays(self, monkeypatch):
+        calls = []
+
+        def counted(rows):
+            calls.append(rows.shape)
+            return sphere(rows)
+
+        # room for two runs of 6 particles in 3 dimensions: groups of 2, 2, 1
+        monkeypatch.setattr(pso, "STACK_FLOATS", 2 * 6 * 3)
+        maximize(counted, unit_box(3), swarm(6, 4), seeds=range(5))
+        assert calls == [(12, 3)] * 10 + [(6, 3)] * 5
 
 
 class TestCornerConvergence:
@@ -254,8 +324,8 @@ class TestCornerConvergence:
         model = LogisticModel(beta=beta, feature_names=tuple(f"x{i}" for i in range(n)))
         bounds = Bounds(lower, upper)
         corner = corner_optimum(model, bounds)
-        result = maximize(
-            lambda x: reliability(model, x), bounds, swarm(50, 500, seed=seed)
+        (result,) = maximize(
+            partial(reliability_rows, model), bounds, swarm(50, 500), [seed]
         )
         # known hard wrong-wall cases are tolerated here; the acceptance
         # suite enforces the 95-of-100 bar over the full shipped list
