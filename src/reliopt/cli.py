@@ -104,15 +104,20 @@ def _typed(path: Path, setting: _Setting, value):
     return value
 
 
+def _read_json(path: Path, what: str):
+    """A config or bounds file's JSON; text that is not UTF-8 JSON is a usage error."""
+    if not path.exists():
+        raise FileNotFoundError(f"no such {what}: {path}")
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        raise _UsageError(f"{path}: not valid JSON ({exc})") from None
+
+
 def _read_config(path: Path) -> dict:
     """The config file's settings by name, type-checked; a null key or
     section counts as absent."""
-    if not path.exists():
-        raise FileNotFoundError(f"no such config file: {path}")
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise _UsageError(f"{path}: not valid JSON ({exc})") from None
+    payload = _read_json(path, "config file")
     if not isinstance(payload, dict):
         raise _UsageError(f"{path}: config must be a JSON object")
     values = {}
@@ -268,16 +273,16 @@ def _bounds_from_args(args: argparse.Namespace, settings: dict) -> Bounds:
     if args.bounds is None:
         return compute_bounds(_load(settings))
     path = Path(args.bounds)
-    if not path.exists():
-        raise FileNotFoundError(f"no such file: {path}")
-    payload = json.loads(path.read_text(encoding="utf-8"))
+    payload = _read_json(path, "file")
     try:
         return Bounds(
             np.asarray(payload["lower"], dtype=float),
             np.asarray(payload["upper"], dtype=float),
         )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise _UsageError(f"{path}: bounds file needs 'lower' and 'upper' number arrays") from exc
+    except InvalidDimensionsError as exc:
+        raise _UsageError(f"{path}: {exc}") from None
+    except (KeyError, TypeError, ValueError, OverflowError):
+        raise _UsageError(f"{path}: bounds file needs 'lower' and 'upper' number arrays") from None
 
 
 def cmd_optimize(args: argparse.Namespace) -> int:
@@ -310,10 +315,9 @@ def cmd_gen(args: argparse.Namespace) -> int:
     if n is None or args.rows is None:
         raise _UsageError("--features and --rows are required")
     if n < 1 or args.rows < 2:
-        raise InvalidDimensionsError("need --features >= 1 and --rows >= 2")
+        raise _UsageError("need --features >= 1 and --rows >= 2")
     if args.lower >= args.upper:
         raise _UsageError("--lower must be strictly below --upper")
-    ranges = Bounds(np.full(n, float(args.lower)), np.full(n, float(args.upper)))
     if args.beta is not None:
         try:
             beta = np.asarray([float(v) for v in args.beta.split(",")], dtype=float)
@@ -322,7 +326,11 @@ def cmd_gen(args: argparse.Namespace) -> int:
     else:
         # separate stream so the coefficients do not collide with the data draws
         beta = np.random.default_rng([seed, 1]).uniform(-2.0, 2.0, n + 1)
-    dataset, beta = generate_synthetic(n, args.rows, beta, ranges, seed)
+    try:
+        ranges = Bounds(np.full(n, float(args.lower)), np.full(n, float(args.upper)))
+        dataset, beta = generate_synthetic(n, args.rows, beta, ranges, seed)
+    except InvalidDimensionsError as exc:
+        raise _UsageError(str(exc)) from None
     save_dataset(dataset, args.out)
     print(f"wrote {dataset.n_rows} rows x {dataset.n_features} features to {args.out}")
     print(f"true beta: [{', '.join(repr(float(b)) for b in beta)}]")
@@ -404,10 +412,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (_UsageError, UnknownLabelColumnError, InvalidDimensionsError) as exc:
+    except (_UsageError, UnknownLabelColumnError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ReliOptError, FileNotFoundError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (ReliOptError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:

@@ -228,15 +228,22 @@ def load_dataset(
     if not rows:
         raise InvalidDimensionsError(f"{path}: no data rows")
     features = np.asarray(rows, dtype=float)
-    if np.isnan(features).any():
+    missing = np.isnan(features)
+    if missing.any():
         if policy is MissingPolicy.REJECT_MISSING:
-            where = np.argwhere(np.isnan(features))[0]
+            where = np.argwhere(missing)[0]
             raise MissingValuesRejectedError(
                 f"{path}: missing value in column {feature_names[where[1]]!r} "
                 f"(row {where[0] + 1} of data)"
             )
+        if missing.all(axis=0).any():
+            name = feature_names[int(np.argmax(missing.all(axis=0)))]
+            raise AllMissingColumnError(f"{path}: column {name!r} has no observed values")
         features = mean_impute(features)
-    return Dataset(features=features, labels=np.asarray(labels), feature_names=feature_names)
+    try:
+        return Dataset(features=features, labels=np.asarray(labels), feature_names=feature_names)
+    except InvalidDimensionsError as exc:
+        raise InvalidDimensionsError(f"{path}: {exc}") from None
 
 
 def save_dataset(dataset: Dataset, path: str | Path, label_name: str = "label") -> None:
@@ -280,9 +287,9 @@ def generate_synthetic(
     if n_features < 1 or m_rows < 2:
         raise InvalidDimensionsError("need n_features >= 1 and m_rows >= 2")
     beta = np.ascontiguousarray(true_beta, dtype=float)
-    if beta.shape != (n_features + 1,):
+    if beta.shape != (n_features + 1,) or not np.isfinite(beta).all():
         raise InvalidDimensionsError(
-            f"true_beta must have {n_features + 1} entries (intercept first), got {beta.shape}"
+            f"true_beta must be {n_features + 1} finite numbers (intercept first), got {beta}"
         )
     if feature_ranges.n != n_features:
         raise InvalidDimensionsError(

@@ -10,6 +10,10 @@ class MalformedRowError(ReliOptError):
     the wrong field count or a non-numeric feature cell."""
 
 
+class MalformedModelError(ReliOptError):
+    """A model file is not UTF-8 JSON of the shape ``fit`` writes."""
+
+
 class UnknownLabelColumnError(ReliOptError):
     """The requested label column does not exist in the file header."""
 

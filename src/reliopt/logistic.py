@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+import sys
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -17,6 +18,7 @@ from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .errors import (
     DimensionMismatchError,
+    MalformedModelError,
     NonFiniteIterateError,
     SingleClassDatasetError,
     SingularHessianError,
@@ -25,8 +27,8 @@ from .errors import (
 if TYPE_CHECKING:
     from .data import Dataset
 
-DEFAULT_MAX_ITER = 100
-DEFAULT_GRAD_TOL = 1e-8
+MAX_ITER = 100
+GRAD_TOL = 1e-8
 FALLBACK_RIDGE = 1e-8
 
 
@@ -178,12 +180,7 @@ def _cholesky(matrix: np.ndarray):
         return None
 
 
-def fit(
-    dataset: Dataset,
-    *,
-    max_iter: int = DEFAULT_MAX_ITER,
-    grad_tol: float = DEFAULT_GRAD_TOL,
-) -> tuple[LogisticModel, FitReport]:
+def fit(dataset: Dataset) -> tuple[LogisticModel, FitReport]:
     """Maximum-likelihood fit by Newton-Raphson, starting from beta = 0.
 
     Each step solves ``-H delta = grad`` by Cholesky. The first failure to
@@ -203,10 +200,6 @@ def fit(
         raise SingleClassDatasetError(
             "single-class dataset: need both healthy and bankrupt rows"
         )
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
-    if grad_tol <= 0:
-        raise ValueError("grad_tol must be positive")
 
     augmented = _augmented(dataset.features)
     beta = np.zeros(augmented.shape[1])
@@ -219,8 +212,8 @@ def fit(
         grad = _gradient(augmented, labels, t)
         if ridge:
             grad = grad - ridge * beta
-        converged = bool(np.abs(grad).max() <= grad_tol and (ridge or (signed * t <= 0).any()))
-        if converged or iterations == max_iter:
+        converged = bool(np.abs(grad).max() <= GRAD_TOL and (ridge or (signed * t <= 0).any()))
+        if converged or iterations == MAX_ITER:
             break
         curvature = _curvature(augmented, t)
         factor = _cholesky(curvature + ridge * identity if ridge else curvature)
@@ -256,14 +249,33 @@ def model_to_json(model: LogisticModel, report: FitReport | None = None) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
+def _is_a(value, kind: str) -> bool:
+    # whether a JSON value has the declared type `kind`; ints in range pass as floats
+    if type(value) is int and kind == "float":
+        return abs(value) <= sys.float_info.max
+    return type(value).__name__ == kind
+
+
 def model_from_json(text: str) -> tuple[LogisticModel, FitReport | None]:
+    """Parse ``model_to_json`` output; other JSON is a MalformedModelError."""
     payload = json.loads(text)
-    model = LogisticModel(
-        beta=np.asarray(payload["beta"], dtype=float),
-        feature_names=tuple(payload["feature_names"]),
-    )
-    report = FitReport(**payload["fit"]) if payload.get("fit") else None
-    return model, report
+    if not isinstance(payload, dict):
+        raise MalformedModelError("a model must be a JSON object")
+    names, beta, report = payload.get("feature_names"), payload.get("beta"), payload.get("fit")
+    if not (isinstance(names, list) and all(_is_a(name, "str") for name in names)):
+        raise MalformedModelError("'feature_names' must be a list of strings")
+    if not (isinstance(beta, list) and all(_is_a(b, "float") for b in beta)):
+        raise MalformedModelError("'beta' must be a list of numbers")
+    kinds = {f.name: f.type for f in fields(FitReport)}
+    if report is not None and not (
+        isinstance(report, dict)
+        and report.keys() == kinds.keys()
+        and all(_is_a(report[name], kind) for name, kind in kinds.items())
+    ):
+        expected = ", ".join(f"{name} ({kind})" for name, kind in kinds.items())
+        raise MalformedModelError(f"'fit' must be null or an object with {expected}")
+    model = LogisticModel(beta=np.asarray(beta, dtype=float), feature_names=tuple(names))
+    return model, None if report is None else FitReport(**report)
 
 
 def save_model(model: LogisticModel, path: str | Path, report: FitReport | None = None) -> None:
@@ -274,4 +286,7 @@ def load_model(path: str | Path) -> tuple[LogisticModel, FitReport | None]:
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"no such file: {path}")
-    return model_from_json(path.read_text(encoding="utf-8"))
+    try:
+        return model_from_json(path.read_text(encoding="utf-8"))
+    except (ValueError, RecursionError, DimensionMismatchError, MalformedModelError) as exc:
+        raise MalformedModelError(f"{path}: not a model file ({exc})") from None

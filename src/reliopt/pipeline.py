@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from functools import partial
 
 import numpy as np
@@ -50,12 +50,6 @@ class PipelineConfig:
             raise ValueError("distinctness_radius must be finite and non-negative")
 
 
-@dataclass(frozen=True)
-class EnsembleRun:
-    seed: int
-    result: SwarmResult
-
-
 @dataclass(frozen=True, eq=False)
 class Prescription:
     position: np.ndarray
@@ -67,7 +61,7 @@ class PrescriptionReport:
     model: LogisticModel
     bounds: Bounds
     corner: CornerSolution
-    ensemble: tuple[EnsembleRun, ...]
+    ensemble: tuple[SwarmResult, ...]
     prescriptions: tuple[Prescription, ...]
     config: PipelineConfig
     warnings: tuple[str, ...]
@@ -90,7 +84,7 @@ def normalized_distance(a, b, bounds: Bounds) -> float:
 
 
 def select_prescriptions(
-    ensemble: list[EnsembleRun] | tuple[EnsembleRun, ...],
+    ensemble: list[SwarmResult] | tuple[SwarmResult, ...],
     corner: CornerSolution,
     bounds: Bounds,
     k: int,
@@ -104,19 +98,19 @@ def select_prescriptions(
     prescription already kept. May return fewer than k; the caller decides
     whether that is worth a warning.
     """
-    ranked = sorted(ensemble, key=lambda run: -run.result.best_value)
+    ranked = sorted(ensemble, key=lambda run: -run.best_value)
     kept: list[Prescription] = []
     for run in ranked:
         if len(kept) == k:
             break
-        position = run.result.best_position
+        position = run.best_position
         if normalized_distance(position, corner.position, bounds) <= radius:
             continue
         if any(
             normalized_distance(position, p.position, bounds) <= radius for p in kept
         ):
             continue
-        kept.append(Prescription(position=position, reliability=run.result.best_value))
+        kept.append(Prescription(position=position, reliability=run.best_value))
     return kept
 
 
@@ -135,8 +129,7 @@ def optimize_reliability(
     """
     corner = corner_optimum(model, bounds)
     seeds = range(config.base_seed, config.base_seed + config.n_runs)
-    results = maximize(partial(reliability_rows, model), bounds, config.swarm, seeds)
-    ensemble = tuple(EnsembleRun(seed=seed, result=result) for seed, result in zip(seeds, results))
+    ensemble = tuple(maximize(partial(reliability_rows, model), bounds, config.swarm, seeds))
 
     prescriptions = tuple(
         select_prescriptions(
@@ -179,47 +172,24 @@ def run_pipeline(dataset: Dataset, config: PipelineConfig) -> PrescriptionReport
     return optimize_reliability(model, bounds, config, fit_report=fit_report)
 
 
+def _record(record, skip: str | None = None) -> dict:
+    # a result record's dataclass fields in declaration order, arrays as lists
+    values = {f.name: getattr(record, f.name) for f in fields(record) if f.name != skip}
+    return {name: v.tolist() if isinstance(v, np.ndarray) else v for name, v in values.items()}
+
+
 def report_to_json(report: PrescriptionReport) -> str:
     """Machine-readable report; floats keep full round-trip precision."""
     payload = {
         "model": json.loads(model_to_json(report.model, report.fit_report)),
-        "bounds": {
-            "lower": [float(v) for v in report.bounds.lower],
-            "upper": [float(v) for v in report.bounds.upper],
-        },
-        "corner": {
-            "position": [float(v) for v in report.corner.position],
-            "value": report.corner.value,
-            "active_signs": [int(s) for s in report.corner.active_signs],
-        },
-        "ensemble": [
-            {
-                "seed": run.seed,
-                "best_position": [float(v) for v in run.result.best_position],
-                "best_value": run.result.best_value,
-                "iterations_run": run.result.iterations_run,
-                "history": [float(v) for v in run.result.history],
-            }
-            for run in report.ensemble
-        ],
-        "prescriptions": [
-            {
-                "position": [float(v) for v in p.position],
-                "reliability": p.reliability,
-            }
-            for p in report.prescriptions
-        ],
+        "bounds": _record(report.bounds),
+        "corner": _record(report.corner),
+        "ensemble": [_record(run) for run in report.ensemble],
+        "prescriptions": [_record(p) for p in report.prescriptions],
         "warnings": list(report.warnings),
         "config": {
-            **{
-                key: value
-                for key, value in asdict(report.config.swarm).items()
-                if key != "seed"
-            },
-            "n_runs": report.config.n_runs,
-            "base_seed": report.config.base_seed,
-            "n_prescriptions": report.config.n_prescriptions,
-            "distinctness_radius": report.config.distinctness_radius,
+            **_record(report.config.swarm, skip="seed"),
+            **_record(report.config, skip="swarm"),
         },
     }
     return json.dumps(payload, indent=2) + "\n"

@@ -63,13 +63,14 @@ class SwarmConfig:
 
 @dataclass(frozen=True, eq=False)
 class SwarmResult:
-    """Best point found, its value, and the per-iteration best-value trace.
+    """A run's seed, best point, its value and per-iteration best-value trace.
 
     ``history[0]`` is the best value among the initial positions; one entry
     follows per update sweep, so ``len(history) == iterations_run + 1`` and
     the trace is non-decreasing with ``history[-1] == best_value``.
     """
 
+    seed: int
     best_position: np.ndarray
     best_value: float
     iterations_run: int
@@ -187,10 +188,7 @@ def _stacked(objective, bounds: Bounds, config: SwarmConfig, seeds: list[int]) -
     sweeps = config.max_iterations
     rand = np.empty((runs, pop, 2, 1 if config.scalar_rand else n))
     for sweep in range(sweeps):
-        if sweeps == 1:
-            w = config.w_start
-        else:
-            w = config.w_start + (config.w_end - config.w_start) * (sweep / (sweeps - 1))
+        w = config.w_start + (config.w_end - config.w_start) * (sweep / max(sweeps - 1, 1))
         for rng, block in zip(rngs, rand):
             rng.random(out=block)
         velocities = velocity_update(
@@ -218,11 +216,6 @@ def _stacked(objective, bounds: Bounds, config: SwarmConfig, seeds: list[int]) -
 
     trace = np.array(history)
     return [
-        SwarmResult(
-            best_position=global_best[r],
-            best_value=float(global_value[r]),
-            iterations_run=sweeps,
-            history=trace[:, r],
-        )
-        for r in range(runs)
+        SwarmResult(seed, global_best[r], float(global_value[r]), sweeps, trace[:, r])
+        for r, seed in enumerate(seeds)
     ]

@@ -191,10 +191,10 @@ def test_07_dominance_chain(pipeline_fixture):
                 base_seed=config.base_seed,
             )
             report = run_pipeline(dataset, cfg)
-            top = max(r.result.best_value for r in report.ensemble)
+            top = max(r.best_value for r in report.ensemble)
             assert report.corner.value >= top
             for run in report.ensemble:
-                assert within(report.bounds, run.result.best_position)
+                assert within(report.bounds, run.best_position)
             for p in report.prescriptions:
                 assert top >= p.reliability
                 assert within(report.bounds, p.position)

@@ -42,6 +42,17 @@ class TestGen:
         code = run_cli("gen", "--features", "0", "--rows", "10", "--out", str(tmp_path / "x.csv"))
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--lower", "nan"], ["--upper", "inf"], ["--beta", "1,2"], ["--beta", "1,2,nan"]],
+    )
+    def test_bad_box_or_beta_is_usage_error(self, tmp_path, capsys, flags):
+        # --beta 1,2,nan used to write a dataset with every label 0
+        out = tmp_path / "g.csv"
+        assert run_cli("gen", "--features", "2", "--rows", "5", *flags, "--out", str(out)) == 2
+        assert_single_error(capsys)
+        assert not out.exists()
+
     def test_explicit_beta(self, tmp_path, capsys):
         out = tmp_path / "g.csv"
         assert run_cli(
@@ -125,6 +136,23 @@ class TestFit:
         assert run_cli("fit", "--data", str(path), "--label", "label") == 1
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == f"error: {path}: not UTF-8 text\n"
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("a,label\n", "no data rows"),
+            ("label\n1\n0\n", "need at least 2 rows and 1 feature, got 2x0"),
+            ("a,b,label\n1,2,1\n", "need at least 2 rows and 1 feature, got 1x2"),
+            ("a,b,label\n1,NA,1\n2,,0\n", "column 'b' has no observed values"),
+        ],
+        ids=["header only", "label only", "one row", "all missing column"],
+    )
+    def test_data_errors_exit_1_name_the_file(self, tmp_path, capsys, text, message):
+        # the first three used to exit 2 (usage), and only the first named the file;
+        # the all-missing column was "column 1 has no observed values to average"
+        path = write_csv(tmp_path / "d.csv", text)
+        assert run_cli("fit", "--data", path, "--label", "label") == 1
+        assert assert_single_error(capsys) == f"error: {path}: {message}"
 
     def test_duplicate_header_names_exit_1(self, tmp_path, capsys):
         # used to fit a model with two features both named 'a'
@@ -233,6 +261,61 @@ class TestOptimize:
         err = capsys.readouterr().err
         assert err.startswith("error:") and str(bounds_path) in err
 
+    @pytest.mark.parametrize(
+        "body",
+        [
+            b'{"feature_names": ["a"], "beta": ["a", 1]}',
+            b"[1, 2]",
+            b'{"feature_names": ["a"], "beta": [0, 1], "fit": {"foo": 1}}',
+            b'{"feature_names": ["a"], "beta": [0, 1], "fit": {"converged": false, '
+            b'"iterations": 3, "final_log_likelihood": -1.0, "max_abs_gradient": 0.5, '
+            b'"ridge_used": "z"}}',
+            b'{"feature_names": ["\xe9"], "beta": [0, 1]}',
+            b'{"beta": [0, 1]}',
+            b'{"feature_names": "ab", "beta": [0, 1, 2]}',
+            b'{"feature_names": ["a"], "beta": [0, 1e999]}',
+            b"{",
+            b"[" * 100_000 + b"]" * 100_000,
+        ],
+        ids=[
+            "string in beta", "list", "unknown fit key", "string in fit", "not utf-8",
+            "missing key", "string of names", "infinite beta", "not json", "nested too deep",
+        ],
+    )
+    def test_malformed_model_file_exit_1_names_it(self, tmp_path, capsys, body):
+        # each used to end in a traceback, in a message naming no file, or (a
+        # string of names) in a model with one feature per character
+        model_path = tmp_path / "model.json"
+        model_path.write_bytes(body)
+        bounds_path = tmp_path / "bounds.json"
+        bounds_path.write_text(json.dumps({"lower": [0], "upper": [1]}))
+        capsys.readouterr()
+        code = run_cli(
+            "optimize", "--model", str(model_path), "--bounds", str(bounds_path),
+            "--pop", "4", "--iters", "2", "--runs", "2",
+        )
+        assert code == 1
+        assert assert_single_error(capsys).startswith(f"error: {model_path}: not a model file (")
+
+    @pytest.mark.parametrize(
+        "body,message",
+        [
+            (b'{"lower": [0', "not valid JSON"),
+            (b'{"lower": ["\xe9"]}', "not valid JSON ('utf-8' codec can't decode"),
+            (b'{"lower": [1, 0], "upper": [0, 1]}', "lower[0] > upper[0]"),
+            (b"[" * 100_000 + b"]" * 100_000, "not valid JSON (maximum recursion depth"),
+        ],
+        ids=["not json", "not utf-8", "lower above upper", "nested too deep"],
+    )
+    def test_unreadable_bounds_file_is_usage_error(self, model_json, tmp_path, capsys, body, message):
+        # not-JSON used to exit 1; not-UTF-8 and deep nesting ended in a traceback
+        bounds_path = tmp_path / "bounds.json"
+        bounds_path.write_bytes(body)
+        capsys.readouterr()
+        code = run_cli("optimize", "--model", str(model_json), "--bounds", str(bounds_path))
+        assert code == 2
+        assert assert_single_error(capsys).startswith(f"error: {bounds_path}: {message}")
+
     def test_population_beyond_address_space_exit_1(self, model_json, tmp_path, capsys):
         # 1e15 x 9 floats is 64 PiB, past any address space, so numpy refuses
         # the allocation at once instead of touching memory
@@ -321,11 +404,12 @@ def write_config(path, body):
     return str(path)
 
 
-def assert_single_error(capsys):
+def assert_single_error(capsys) -> str:
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), captured.err
+    return lines[0]
 
 
 class TestSettings:
@@ -354,6 +438,13 @@ class TestSettings:
         capsys.readouterr()
         assert run_cli("pipeline", "--config", write_config(tmp_path / "cfg.json", body)) == 2
         assert_single_error(capsys)
+
+    def test_non_utf8_config_file_is_usage_error(self, synth_csv, tmp_path, capsys):
+        # used to end in a UnicodeDecodeError traceback
+        path = tmp_path / "cfg.json"
+        path.write_bytes(b'{"label": "\xe9"}')
+        assert run_cli("pipeline", "--data", str(synth_csv), "--config", str(path)) == 2
+        assert assert_single_error(capsys).startswith(f"error: {path}: not valid JSON (")
 
     @pytest.mark.parametrize(
         "flags",
@@ -560,6 +651,84 @@ def test_any_csv_and_flags_exit_cleanly(tmp_path, capsys, case):
     else:
         assert captured.out == ""
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
+_JUNK = st.sampled_from(["abc", "", True, None, [], [1], {"a": 1}, 1.5, -1, 10**400, float("nan")])
+
+
+def _spoil(draw, doc):
+    """``doc`` with one node, at a drawn depth, replaced by junk, dropped, or
+    given an extra junk sibling."""
+    if not isinstance(doc, (dict, list)) or not doc or draw(st.integers(0, 3)) == 0:
+        return draw(_JUNK)
+    doc = dict(doc) if isinstance(doc, dict) else list(doc)
+    key = draw(st.sampled_from(list(doc) if isinstance(doc, dict) else range(len(doc))))
+    action = draw(st.sampled_from(["descend", "drop", "add"]))
+    if action == "drop":
+        del doc[key]
+    elif action == "add" and isinstance(doc, dict):
+        doc["extra"] = draw(_JUNK)
+    elif action == "add":
+        doc.append(draw(_JUNK))
+    else:
+        doc[key] = _spoil(draw, doc[key])
+    return doc
+
+
+@st.composite
+def model_and_bounds_files(draw):
+    """Bytes of a two-feature model file and a bounds file, each valid until
+    up to two faults are drawn: a spoiled JSON node (a string or a list in
+    place of a number, a missing or extra ``fit`` key, ...), a cut, or a
+    non-UTF-8 byte."""
+    fit = {
+        "converged": draw(st.booleans()),
+        "iterations": draw(st.integers(0, 100)),
+        "final_log_likelihood": draw(st.floats(-1e3, 0)),
+        "max_abs_gradient": draw(st.floats(0, 1)),
+        "ridge_used": draw(st.sampled_from([0.0, 1e-8, 0])),
+    }
+    model = {
+        "feature_names": ["a", "b"],
+        "beta": draw(st.lists(st.floats(-3, 3), min_size=3, max_size=3)),
+        "fit": fit if draw(st.booleans()) else None,
+    }
+    bounds = {"lower": [0.0, -1.0], "upper": [1.0, 2.0]}
+    files = []
+    for doc in (model, bounds):
+        for _ in range(draw(st.integers(0, 2))):
+            doc = _spoil(draw, doc)
+        data = json.dumps(doc).encode("utf-8")
+        fault = draw(st.sampled_from([None, None, "cut", "not utf-8"]))
+        at = draw(st.integers(0, len(data)))
+        if fault == "cut":
+            data = data[:at]
+        elif fault == "not utf-8":
+            data = data[:at] + b"\xe9" + data[at:]
+        files.append(data)
+    return files
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(files=model_and_bounds_files())
+def test_any_model_and_bounds_file_exit_cleanly(tmp_path, capsys, files):
+    model_path, bounds_path = tmp_path / "model.json", tmp_path / "bounds.json"
+    model_path.write_bytes(files[0])
+    bounds_path.write_bytes(files[1])
+    capsys.readouterr()
+    code = run_cli(
+        "optimize", "--model", str(model_path), "--bounds", str(bounds_path), "--json",
+        "--pop", "4", "--iters", "2", "--runs", "2", "--prescriptions", "1",
+    )
+    captured = capsys.readouterr()
+    assert code in (0, 1, 2)
+    if code == 0:
+        json.loads(captured.out)
+        assert captured.err == ""
+    else:
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
 
 class TestHelp:
     @pytest.mark.parametrize("cmd", [[], ["fit"], ["optimize"], ["pipeline"], ["gen"]])

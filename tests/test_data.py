@@ -99,6 +99,20 @@ class TestLoadDataset:
         with pytest.raises(AllMissingColumnError):
             load_dataset(path, "label")
 
+    def test_all_missing_column_names_file_and_column(self, tmp_path):
+        # used to say "column 1 has no observed values to average"
+        path = write_csv(tmp_path / "d.csv", "a,b,label\n1,NA,1\n2,,0\n")
+        with pytest.raises(AllMissingColumnError, match=r"d\.csv: column 'b' has no observed"):
+            load_dataset(path, "label")
+
+    @pytest.mark.parametrize(
+        "text,shape", [("label\n1\n0\n", "2x0"), ("a,b,label\n1,2,1\n", "1x2")]
+    )
+    def test_too_small_file_names_it(self, tmp_path, text, shape):
+        path = write_csv(tmp_path / "d.csv", text)
+        with pytest.raises(InvalidDimensionsError, match=rf"d\.csv: .* got {shape}$"):
+            load_dataset(path, "label")
+
     def test_header_only_file(self, tmp_path):
         path = write_csv(tmp_path / "d.csv", "a,label\n")
         with pytest.raises(InvalidDimensionsError, match="no data rows"):
@@ -293,6 +307,12 @@ class TestGenerateSynthetic:
     def test_invalid_dimensions(self, n, m, beta, box_n):
         with pytest.raises(InvalidDimensionsError):
             generate_synthetic(n, m, beta, self.box(box_n), seed=0)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_beta_rejected(self, bad):
+        # a NaN coefficient used to give a dataset with every label 0
+        with pytest.raises(InvalidDimensionsError, match="finite"):
+            generate_synthetic(1, 10, [0.0, bad], self.box(1), seed=0)
 
     def test_degenerate_range_rejected(self):
         flat = Bounds(np.array([1.0]), np.array([1.0]))

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,8 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reliopt import logistic
 from reliopt.data import Bounds, Dataset, generate_synthetic
-from reliopt.errors import DimensionMismatchError, SingleClassDatasetError, SingularHessianError
+from reliopt.errors import (
+    DimensionMismatchError,
+    MalformedModelError,
+    SingleClassDatasetError,
+    SingularHessianError,
+)
 from reliopt.logistic import (
     FALLBACK_RIDGE,
     LogisticModel,
@@ -14,6 +21,7 @@ from reliopt.logistic import (
     gradient,
     hessian,
     log_likelihood,
+    load_model,
     model_from_json,
     model_to_json,
     reliability,
@@ -249,13 +257,14 @@ class TestFit:
         with pytest.raises(SingleClassDatasetError):
             fit(ds)
 
-    def test_log_likelihood_ascends_across_iterations(self):
+    def test_log_likelihood_ascends_across_iterations(self, monkeypatch):
         rng = np.random.default_rng(5)
         for _ in range(5):
             model_true, ds = random_case(rng, m=20, n=2)
             previous = -np.inf
             for budget in range(1, 9):
-                model, _ = fit(ds, max_iter=budget)
+                monkeypatch.setattr(logistic, "MAX_ITER", budget)
+                model, _ = fit(ds)
                 value = log_likelihood(model, ds)
                 assert value >= previous - 1e-12
                 previous = value
@@ -306,11 +315,21 @@ class TestFit:
             assert report.ridge_used == 0.0
             assert report.max_abs_gradient == float(np.abs(gradient(model, ds)).max())
 
-    def test_gradient_below_tolerance_at_optimum(self, six_point_dataset):
-        model, report = fit(six_point_dataset, grad_tol=1e-10)
+    def test_gradient_below_tolerance_at_optimum(self, six_point_dataset, monkeypatch):
+        monkeypatch.setattr(logistic, "GRAD_TOL", 1e-10)
+        model, report = fit(six_point_dataset)
         assert report.converged
         assert report.max_abs_gradient <= 1e-10
         assert np.abs(gradient(model, six_point_dataset)).max() <= 1e-10
+
+
+FIT = {
+    "converged": True,
+    "iterations": 5,
+    "final_log_likelihood": -3.5,
+    "max_abs_gradient": 1e-9,
+    "ridge_used": 0.0,
+}
 
 
 class TestSerialization:
@@ -321,6 +340,44 @@ class TestSerialization:
         assert np.array_equal(loaded.beta, model.beta)
         assert loaded.feature_names == model.feature_names
         assert loaded_report == report
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            [1, 2],
+            {"beta": [0, 1]},
+            {"feature_names": "a", "beta": [0, 1]},
+            {"feature_names": [1], "beta": [0, 1]},
+            {"feature_names": ["a"], "beta": [0, "1"]},
+            {"feature_names": ["a"], "beta": [0, True]},
+            {"feature_names": ["a"], "beta": [0, 10**400]},
+            {"feature_names": ["a"], "beta": [0, 1], "fit": {}},
+            {"feature_names": ["a"], "beta": [0, 1], "fit": FIT | {"extra": 1}},
+            {"feature_names": ["a"], "beta": [0, 1], "fit": FIT | {"iterations": 2.0}},
+            {"feature_names": ["a"], "beta": [0, 1], "fit": FIT | {"converged": 1}},
+            {"feature_names": ["a"], "beta": [0, 1], "fit": FIT | {"ridge_used": "z"}},
+            {"feature_names": ["a"], "beta": [0, 1], "fit": FIT | {"ridge_used": 10**400}},
+        ],
+    )
+    def test_malformed_payload_is_typed_error(self, payload):
+        with pytest.raises(MalformedModelError):
+            model_from_json(json.dumps(payload))
+
+    def test_integers_pass_as_floats_unchanged(self):
+        payload = {"feature_names": ["a"], "beta": [0, 2], "fit": FIT | {"ridge_used": 0}}
+        model, report = model_from_json(json.dumps(payload))
+        assert model.beta.tolist() == [0.0, 2.0]
+        assert report.ridge_used == 0 and type(report.ridge_used) is int
+        assert model_from_json(json.dumps({"feature_names": ["a"], "beta": [0, 2]}))[1] is None
+
+    @pytest.mark.parametrize(
+        "body", [b"{", b'{"feature_names": ["\xe9"], "beta": [0, 1]}', b'{"feature_names": []}']
+    )
+    def test_load_model_names_the_file(self, tmp_path, body):
+        path = tmp_path / "m.json"
+        path.write_bytes(body)
+        with pytest.raises(MalformedModelError, match=r"m\.json: not a model file \("):
+            load_model(path)
 
     def test_shape_of_payload(self):
         import json

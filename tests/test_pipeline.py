@@ -13,7 +13,6 @@ from reliopt.data import Bounds, Dataset, compute_bounds, generate_synthetic, lo
 from reliopt.logistic import fit, model_from_json, reliability, reliability_rows
 from reliopt.oracle import CornerSolution, corner_optimum
 from reliopt.pipeline import (
-    EnsembleRun,
     PipelineConfig,
     normalized_distance,
     optimize_reliability,
@@ -44,14 +43,12 @@ def pipeline_config(pop=20, iters=3, runs=25, base_seed=0, **kw):
 
 
 def fake_run(seed, position, value):
-    return EnsembleRun(
+    return SwarmResult(
         seed=seed,
-        result=SwarmResult(
-            best_position=np.asarray(position, dtype=float),
-            best_value=value,
-            iterations_run=3,
-            history=np.array([value]),
-        ),
+        best_position=np.asarray(position, dtype=float),
+        best_value=value,
+        iterations_run=3,
+        history=np.array([value]),
     )
 
 
@@ -89,7 +86,7 @@ class TestSelectPrescriptions:
             ]
 
             def feasible(subset):
-                points = [r.result.best_position for r in subset]
+                points = [r.best_position for r in subset]
                 for p in points:
                     if normalized_distance(p, self.corner.position, self.bounds) <= 0.05:
                         return False
@@ -100,7 +97,7 @@ class TestSelectPrescriptions:
 
             best = max(
                 (
-                    sorted((r.result.best_value for r in subset), reverse=True)
+                    sorted((r.best_value for r in subset), reverse=True)
                     for size in range(3)
                     for subset in itertools.combinations(ensemble, size)
                     if feasible(subset)
@@ -143,19 +140,19 @@ class TestRunPipeline:
         assert len(report.ensemble) == 1
         if report.prescriptions:
             only = report.prescriptions[0]
-            assert np.array_equal(only.position, report.ensemble[0].result.best_position)
+            assert np.array_equal(only.position, report.ensemble[0].best_position)
 
     def test_generous_budget_reaches_corner(self, synthetic):
         report = run_pipeline(synthetic, pipeline_config(pop=50, iters=500, runs=3))
-        top = max(r.result.best_value for r in report.ensemble)
+        top = max(r.best_value for r in report.ensemble)
         assert abs(top - report.corner.value) <= 1e-6
 
     def test_dominance_chain_and_feasibility(self, synthetic):
         report = run_pipeline(synthetic, pipeline_config())
-        top = max(r.result.best_value for r in report.ensemble)
+        top = max(r.best_value for r in report.ensemble)
         assert report.corner.value >= top
         for run in report.ensemble:
-            assert within(report.bounds, run.result.best_position)
+            assert within(report.bounds, run.best_position)
         for p in report.prescriptions:
             assert report.corner.value >= p.reliability
             assert within(report.bounds, p.position)
@@ -169,8 +166,8 @@ class TestRunPipeline:
     def test_budget_monotonicity_of_ensemble_best(self, synthetic):
         short = run_pipeline(synthetic, pipeline_config(iters=3, runs=10))
         long = run_pipeline(synthetic, pipeline_config(iters=500, runs=10, pop=50))
-        assert max(r.result.best_value for r in long.ensemble) >= max(
-            r.result.best_value for r in short.ensemble
+        assert max(r.best_value for r in long.ensemble) >= max(
+            r.best_value for r in short.ensemble
         )
 
     def test_ensemble_seeds_are_consecutive(self, synthetic):
@@ -267,9 +264,9 @@ class TestStackedEnsemble:
                 config.swarm,
                 [run.seed],
             )
-            assert np.array_equal(alone.best_position, run.result.best_position)
-            assert alone.best_value == run.result.best_value
-            assert np.array_equal(alone.history, run.result.history)
+            assert np.array_equal(alone.best_position, run.best_position)
+            assert alone.best_value == run.best_value
+            assert np.array_equal(alone.history, run.history)
 
 
 class TestReportJson:
@@ -280,16 +277,25 @@ class TestReportJson:
         assert first == second
 
     def test_schema_fields(self, synthetic):
-        report = run_pipeline(synthetic, pipeline_config(runs=3))
+        report = run_pipeline(synthetic, pipeline_config(pop=5, iters=1, runs=3))
         payload = json.loads(report_to_json(report))
-        assert set(payload) == {
+        assert list(payload) == [
             "model", "bounds", "corner", "ensemble", "prescriptions", "warnings", "config",
-        }
-        assert set(payload["corner"]) == {"position", "value", "active_signs"}
+        ]
+        assert list(payload["bounds"]) == ["lower", "upper"]
+        assert list(payload["corner"]) == ["position", "value", "active_signs"]
+        assert payload["ensemble"] and payload["prescriptions"]
         for entry in payload["ensemble"]:
-            assert set(entry) == {
+            assert list(entry) == [
                 "seed", "best_position", "best_value", "iterations_run", "history",
-            }
+            ]
+        for entry in payload["prescriptions"]:
+            assert list(entry) == ["position", "reliability"]
+        assert list(payload["config"]) == [
+            "population_size", "max_iterations", "c1", "c2", "w_start", "w_end",
+            "velocity_clamp_fraction", "scalar_rand",
+            "n_runs", "base_seed", "n_prescriptions", "distinctness_radius",
+        ]
         assert payload["config"]["n_runs"] == 3
         assert "seed" not in payload["config"]
 
