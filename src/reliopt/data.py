@@ -24,7 +24,7 @@ from .errors import (
     MissingValuesRejectedError,
     UnknownLabelColumnError,
 )
-from .logistic import sigmoid
+from .logistic import freeze_fields, sigmoid
 
 DEFAULT_SEED = 0
 
@@ -46,8 +46,8 @@ class Bounds:
     upper: np.ndarray
 
     def __post_init__(self) -> None:
-        lower = np.ascontiguousarray(self.lower, dtype=float)
-        upper = np.ascontiguousarray(self.upper, dtype=float)
+        freeze_fields(self, lower=float, upper=float)
+        lower, upper = self.lower, self.upper
         if lower.ndim != 1 or upper.ndim != 1 or lower.shape != upper.shape:
             raise InvalidDimensionsError("lower and upper must be 1-D vectors of equal length")
         if lower.size < 1:
@@ -57,10 +57,6 @@ class Bounds:
         if (lower > upper).any():
             bad = int(np.argmax(lower > upper))
             raise InvalidDimensionsError(f"lower[{bad}] > upper[{bad}]")
-        lower.setflags(write=False)
-        upper.setflags(write=False)
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
 
     @property
     def n(self) -> int:
@@ -85,7 +81,8 @@ class Dataset:
     feature_names: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        features = np.ascontiguousarray(self.features, dtype=float)
+        freeze_fields(self, features=float)
+        features = self.features
         raw_labels = np.asarray(self.labels)
         if features.ndim != 2:
             raise InvalidDimensionsError("features must be a 2-D matrix")
@@ -97,16 +94,12 @@ class Dataset:
         # validate before casting so a stray 0.5 cannot truncate to a valid 0
         if not np.isin(raw_labels, (0, 1)).all():
             raise InvalidLabelError("labels must contain only 0 or 1")
-        labels = np.ascontiguousarray(raw_labels, dtype=int)
         if not np.isfinite(features).all():
             raise MalformedRowError("features must be finite with no missing entries")
         names = tuple(str(name) for name in self.feature_names)
         if len(names) != n:
             raise InvalidDimensionsError(f"expected {n} feature names, got {len(names)}")
-        features.setflags(write=False)
-        labels.setflags(write=False)
-        object.__setattr__(self, "features", features)
-        object.__setattr__(self, "labels", labels)
+        freeze_fields(self, labels=int)
         object.__setattr__(self, "feature_names", names)
 
     @property

@@ -43,7 +43,8 @@ class SingleClassDatasetError(ReliOptError):
 
 
 class SingularHessianError(ReliOptError):
-    """Newton step is unsolvable even with the fallback ridge switched on."""
+    """Newton step is unsolvable even with the fallback ridge, relative to the
+    curvature's scale, switched on."""
 
 
 class NonFiniteIterateError(ReliOptError):

@@ -14,7 +14,6 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .errors import (
     DimensionMismatchError,
@@ -28,8 +27,9 @@ if TYPE_CHECKING:
     from .data import Dataset
 
 MAX_ITER = 100
-GRAD_TOL = 1e-8
+DECREMENT_TOL = 1e-10
 FALLBACK_RIDGE = 1e-8
+COLLINEAR_PIVOT = 1e-12
 
 
 def sigmoid(t):
@@ -51,6 +51,16 @@ def log_sigmoid(t):
     return np.minimum(arr, 0.0) - np.log1p(np.exp(-np.abs(arr)))
 
 
+def freeze_fields(record, **dtypes) -> None:
+    """Set each named field of a frozen dataclass to a read-only, C-ordered,
+    at least 1-D copy of itself in the given dtype, so the record never
+    freezes or shares the caller's array."""
+    for name, dtype in dtypes.items():
+        array = np.array(getattr(record, name), dtype=dtype, order="C", ndmin=1)
+        array.setflags(write=False)
+        object.__setattr__(record, name, array)
+
+
 @dataclass(frozen=True, eq=False)
 class LogisticModel:
     """Coefficient vector (intercept first) plus the feature names it scores."""
@@ -59,16 +69,15 @@ class LogisticModel:
     feature_names: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        beta = np.ascontiguousarray(self.beta, dtype=float)
+        freeze_fields(self, beta=float)
         names = tuple(str(name) for name in self.feature_names)
-        if beta.ndim != 1 or beta.size != len(names) + 1:
+        if self.beta.ndim != 1 or self.beta.size != len(names) + 1:
             raise DimensionMismatchError(
-                f"beta must have {len(names) + 1} entries (intercept first), got shape {beta.shape}"
+                f"beta must have {len(names) + 1} entries (intercept first), "
+                f"got shape {self.beta.shape}"
             )
-        if not np.isfinite(beta).all():
+        if not np.isfinite(self.beta).all():
             raise DimensionMismatchError("beta must be finite")
-        beta.setflags(write=False)
-        object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "feature_names", names)
 
     @property
@@ -78,6 +87,10 @@ class LogisticModel:
 
 @dataclass(frozen=True)
 class FitReport:
+    """How ``fit`` ended. ``max_abs_gradient`` is taken at the returned beta,
+    in the ratios' units; ``ridge_used`` is 0 or the fallback ridge, in the
+    centered, unit-spread coordinates the fit runs in."""
+
     converged: bool
     iterations: int
     final_log_likelihood: float
@@ -120,25 +133,6 @@ def reliability(model: LogisticModel, x) -> float:
     return float(reliability_rows(model, x[np.newaxis])[0])
 
 
-def _check_dataset(model: LogisticModel, dataset: Dataset) -> np.ndarray:
-    if dataset.n_features != model.n_features:
-        raise DimensionMismatchError(
-            f"model has {model.n_features} features, dataset has {dataset.n_features}"
-        )
-    return dataset.features
-
-
-def log_likelihood(model: LogisticModel, dataset: Dataset) -> float:
-    """Bernoulli log-likelihood of the dataset under the model.
-
-    Row contributions are combined with ``math.fsum``, so the result is the
-    correctly rounded sum: duplicating every row exactly doubles it.
-    """
-    t = model.beta[0] + _check_dataset(model, dataset) @ model.beta[1:]
-    per_row = np.where(dataset.labels == 1, log_sigmoid(t), log_sigmoid(-t))
-    return math.fsum(per_row)
-
-
 def _augmented(features: np.ndarray) -> np.ndarray:
     # the intercept-augmented feature matrix [1, X]
     return np.hstack([np.ones((features.shape[0], 1)), features])
@@ -149,92 +143,97 @@ def _residuals(labels: np.ndarray, t: np.ndarray) -> np.ndarray:
     return np.where(labels == 1, sigmoid(-t), -sigmoid(t))
 
 
-def _gradient(augmented: np.ndarray, labels: np.ndarray, t: np.ndarray) -> np.ndarray:
-    return augmented.T @ _residuals(labels, t)
+def _log_likelihood(labels: np.ndarray, t: np.ndarray) -> float:
+    return math.fsum(np.where(labels == 1, log_sigmoid(t), log_sigmoid(-t)))
 
 
-def _curvature(augmented: np.ndarray, t: np.ndarray) -> np.ndarray:
-    # minus the Hessian; p*(1-p) as sigmoid(t)*sigmoid(-t) stays positive until
-    # sigmoid(-|t|) truly underflows, instead of hitting zero near |t|~37
-    return (augmented.T * (sigmoid(t) * sigmoid(-t))) @ augmented
+def log_likelihood(model: LogisticModel, dataset: Dataset) -> float:
+    """Bernoulli log-likelihood of the dataset under the model.
 
-
-def gradient(model: LogisticModel, dataset: Dataset) -> np.ndarray:
-    """Gradient of the log-likelihood in beta: residuals against the
-    intercept-augmented feature matrix."""
-    augmented = _augmented(_check_dataset(model, dataset))
-    return _gradient(augmented, dataset.labels, augmented @ model.beta)
-
-
-def hessian(model: LogisticModel, dataset: Dataset) -> np.ndarray:
-    """Hessian of the log-likelihood: symmetric negative semi-definite."""
-    augmented = _augmented(_check_dataset(model, dataset))
-    h = -_curvature(augmented, augmented @ model.beta)
-    return (h + h.T) / 2.0
-
-
-def _cholesky(matrix: np.ndarray):
-    try:
-        return cho_factor(matrix, lower=True)
-    except (LinAlgError, ValueError):
-        return None
+    The score is ``[1, X] @ beta``, as in ``fit``'s report. Rows are summed
+    with ``math.fsum``, so the result is correctly rounded: duplicating every
+    row exactly doubles it.
+    """
+    if dataset.n_features != model.n_features:
+        raise DimensionMismatchError(
+            f"model has {model.n_features} features, dataset has {dataset.n_features}"
+        )
+    return _log_likelihood(dataset.labels, _augmented(dataset.features) @ model.beta)
 
 
 def fit(dataset: Dataset) -> tuple[LogisticModel, FitReport]:
     """Maximum-likelihood fit by Newton-Raphson, starting from beta = 0.
 
-    Each step solves ``-H delta = grad`` by Cholesky. The first failure to
-    factorize switches on a ridge of ``FALLBACK_RIDGE`` for the rest of the fit
-    (steps then solve ``(-H + ridge*I) delta = grad - ridge*beta``) and the
-    report records it; SingularHessianError means a failure with the ridge on.
+    Newton runs on the ratios centered and scaled to unit standard deviation
+    (a constant ratio is only centered); beta is mapped back to the ratios'
+    units at the end. Each step solves ``C delta = grad`` by Cholesky, C
+    being minus the Hessian, and the fit stops after a step whose half
+    squared Newton decrement ``grad @ delta / 2`` (the step's predicted gain
+    in log-likelihood, which has no units) is at most ``DECREMENT_TOL``. So
+    rescaling or shifting a ratio changes neither the stop nor the fitted
+    reliabilities.
 
-    On perfectly separated data the likelihood has no finite maximizer: the
-    gradient shrinks while the coefficients diverge. With no ridge in play,
-    a small gradient therefore only counts as convergence when the current
-    coefficients do not strictly separate the two classes (a strict separator
-    proves the optimum sits at infinity); otherwise the fit runs out of
-    iterations and reports ``converged=False`` with finite coefficients.
+    A factorization that fails, or has a pivot below ``COLLINEAR_PIVOT`` of
+    its diagonal entry (a ratio that is a linear combination of earlier ones
+    up to rounding), switches on a ridge of ``FALLBACK_RIDGE`` times the mean
+    diagonal of C for the rest of the fit: steps then solve
+    ``(C + ridge*I) delta = grad - ridge*beta`` in the scaled coordinates.
+    SingularHessianError means a failure with the ridge on.
+
+    On perfectly separated data the likelihood has no finite maximizer. With
+    no ridge in play, a small decrement therefore only counts as convergence
+    when the current coefficients do not strictly separate the two classes
+    (a strict separator proves the optimum sits at infinity); otherwise the
+    fit runs out of iterations and reports ``converged=False`` with finite
+    coefficients.
     """
     labels = dataset.labels
     if labels.min() == labels.max():
-        raise SingleClassDatasetError(
-            "single-class dataset: need both healthy and bankrupt rows"
-        )
+        raise SingleClassDatasetError("single-class dataset: need both healthy and bankrupt rows")
 
-    augmented = _augmented(dataset.features)
-    beta = np.zeros(augmented.shape[1])
-    identity = np.eye(beta.size)
+    center = dataset.features.mean(axis=0)
+    spread = dataset.features.std(axis=0)
+    spread[spread == 0] = 1.0
+    scaled = _augmented((dataset.features - center) / spread)
+    gamma = np.zeros(scaled.shape[1])
     signed = 2.0 * labels - 1.0
-    ridge = 0.0
-    iterations = 0
-    while True:
-        t = augmented @ beta
-        grad = _gradient(augmented, labels, t)
-        if ridge:
-            grad = grad - ridge * beta
-        converged = bool(np.abs(grad).max() <= GRAD_TOL and (ridge or (signed * t <= 0).any()))
-        if converged or iterations == MAX_ITER:
-            break
-        curvature = _curvature(augmented, t)
-        factor = _cholesky(curvature + ridge * identity if ridge else curvature)
-        if factor is None and not ridge:
-            ridge = FALLBACK_RIDGE
-            grad = grad - ridge * beta
-            factor = _cholesky(curvature + ridge * identity)
-        if factor is None:
-            raise SingularHessianError("curvature matrix is singular even with the fallback ridge")
-        beta = beta + cho_solve(factor, grad)
-        if not np.isfinite(beta).all():
+    ridge, iterations, converged = 0.0, 0, False
+    while iterations < MAX_ITER and not converged:
+        t = scaled @ gamma
+        grad = scaled.T @ _residuals(labels, t) - ridge * gamma
+        # p*(1-p) as sigmoid(t)*sigmoid(-t) stays positive until sigmoid(-|t|)
+        # truly underflows, instead of hitting zero near |t|~37
+        curvature = (scaled.T * (sigmoid(t) * sigmoid(-t))) @ scaled
+        try:
+            factor = np.linalg.cholesky(curvature + ridge * np.eye(gamma.size))
+            if (factor.diagonal() ** 2 < COLLINEAR_PIVOT * curvature.diagonal()).any():
+                raise np.linalg.LinAlgError("a ratio is collinear with earlier ones")
+        except np.linalg.LinAlgError:
+            if ridge:
+                raise SingularHessianError(
+                    "curvature matrix is singular even with the fallback ridge"
+                ) from None
+            # never 0, so a second failure ends the fit
+            ridge = max(FALLBACK_RIDGE * curvature.diagonal().mean(), np.finfo(float).tiny)
+            continue
+        step = np.linalg.solve(factor.T, np.linalg.solve(factor, grad))
+        converged = bool(grad @ step / 2 <= DECREMENT_TOL and (ridge or (signed * t <= 0).any()))
+        gamma = gamma + step
+        if not np.isfinite(gamma).all():
             raise NonFiniteIterateError("Newton iterate overflowed")
         iterations += 1
 
+    slopes = gamma[1:] / spread
+    beta = np.concatenate([[gamma[0] - slopes @ center], slopes])
     model = LogisticModel(beta=beta, feature_names=dataset.feature_names)
+    augmented = _augmented(dataset.features)
+    t = augmented @ model.beta
     report = FitReport(
         converged=converged,
         iterations=iterations,
-        final_log_likelihood=log_likelihood(model, dataset),
-        max_abs_gradient=float(np.abs(grad).max()),
-        ridge_used=ridge,
+        final_log_likelihood=_log_likelihood(labels, t),
+        max_abs_gradient=float(np.abs(augmented.T @ _residuals(labels, t)).max()),
+        ridge_used=float(ridge),
     )
     return model, report
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from .data import Bounds
 from .errors import DimensionMismatchError
-from .logistic import LogisticModel, reliability
+from .logistic import LogisticModel, freeze_fields, reliability
 
 # Fitted coefficients are never exactly zero; this threshold documents what
 # counts as a flat (reliability-irrelevant) direction.
@@ -34,12 +34,7 @@ class CornerSolution:
     active_signs: np.ndarray
 
     def __post_init__(self) -> None:
-        position = np.ascontiguousarray(self.position, dtype=float)
-        signs = np.ascontiguousarray(self.active_signs, dtype=int)
-        position.setflags(write=False)
-        signs.setflags(write=False)
-        object.__setattr__(self, "position", position)
-        object.__setattr__(self, "active_signs", signs)
+        freeze_fields(self, position=float, active_signs=int)
 
 
 def corner_optimum(model: LogisticModel, bounds: Bounds) -> CornerSolution:

@@ -20,6 +20,7 @@ import numpy as np
 
 from .data import Bounds
 from .errors import DimensionMismatchError
+from .logistic import freeze_fields
 
 # Largest (runs, pop, n) swarm array one stacked group may hold, in floats.
 STACK_FLOATS = 2**16
@@ -77,12 +78,7 @@ class SwarmResult:
     history: np.ndarray
 
     def __post_init__(self) -> None:
-        position = np.ascontiguousarray(self.best_position, dtype=float)
-        trace = np.ascontiguousarray(self.history, dtype=float)
-        position.setflags(write=False)
-        trace.setflags(write=False)
-        object.__setattr__(self, "best_position", position)
-        object.__setattr__(self, "history", trace)
+        freeze_fields(self, best_position=float, history=float)
 
 
 def _as_matching(*vectors) -> list[np.ndarray]:

@@ -20,9 +20,10 @@ def write_csv(path, text: str) -> str:
 def duplicated_large_column_dataset() -> Dataset:
     """40 x 3 ratios whose last two columns are the same 1e6-scale ratio.
 
-    The curvature is singular; the fallback ridge of 1e-8 lets the first
-    Newton step through, and a later step fails with the ridge on. The draws
-    are frozen: other seeds fail at the first step instead.
+    The curvature is singular, so the fit needs the fallback ridge. An
+    absolute ridge, small next to a curvature of 1e12-scale entries, let the
+    first Newton step through and failed at a later one; the ridge relative
+    to the curvature's mean diagonal fits it like its rescaled twin.
     """
     rng = np.random.default_rng(2)
     small = rng.uniform(0.0, 1.0, (40, 2))[:, 0]

@@ -1,5 +1,8 @@
 """Reference answers the tests check the package against.
 
+``gradient`` and ``hessian`` are the log-likelihood's derivatives in beta,
+written out from their formulas; only tests read them.
+
 The reliability objective is a monotone transform of a linear score, so its
 exact maximum over a box sits at a vertex. ``enumerate_corners`` finds that
 vertex by exhaustive search, independently of the closed form in
@@ -8,9 +11,9 @@ vertex by exhaustive search, independently of the closed form in
 
 import numpy as np
 
-from reliopt.data import Bounds
+from reliopt.data import Bounds, Dataset
 from reliopt.errors import ReliOptError
-from reliopt.logistic import LogisticModel, reliability_rows
+from reliopt.logistic import LogisticModel, reliability_rows, sigmoid
 from reliopt.oracle import CornerSolution
 
 MAX_ENUMERATION_DIMS = 20
@@ -19,6 +22,26 @@ CHUNK_CORNERS = 2**12  # corners scored per reliability_rows block
 
 class DimensionTooLargeError(ReliOptError):
     """Exhaustive corner enumeration refuses to expand 2**n this large."""
+
+
+def _augmented_score(model: LogisticModel, dataset: Dataset):
+    # [1, X] and its score [1, X] @ beta, as fit computes its report
+    augmented = np.hstack([np.ones((dataset.n_rows, 1)), dataset.features])
+    return augmented, augmented @ model.beta
+
+
+def gradient(model: LogisticModel, dataset: Dataset) -> np.ndarray:
+    """Gradient of the log-likelihood in beta: the residuals y - p against
+    the intercept-augmented feature matrix."""
+    augmented, t = _augmented_score(model, dataset)
+    return augmented.T @ np.where(dataset.labels == 1, sigmoid(-t), -sigmoid(t))
+
+
+def hessian(model: LogisticModel, dataset: Dataset) -> np.ndarray:
+    """Hessian of the log-likelihood: symmetric negative semi-definite."""
+    augmented, t = _augmented_score(model, dataset)
+    h = -(augmented.T * (sigmoid(t) * sigmoid(-t))) @ augmented
+    return (h + h.T) / 2.0
 
 
 def within(bounds: Bounds, x) -> bool:

@@ -1,10 +1,15 @@
 import json
 import re
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import reliopt
 from reliopt.cli import main
 from reliopt.data import save_dataset
 
@@ -111,7 +116,13 @@ class TestFit:
         assert run_cli("fit", "--data", path, "--label", "label") == 1
         assert "single-class" in capsys.readouterr().err
 
-    def test_singular_curvature_exit_1(self, tmp_path, capsys):
+    def test_singular_curvature_exit_1(self, tmp_path, capsys, monkeypatch):
+        # the relative fallback ridge fits every finite dataset tried, so the
+        # factorization is made to fail, with the ridge on as well
+        def refuse(matrix):
+            raise np.linalg.LinAlgError("not positive definite")
+
+        monkeypatch.setattr(np.linalg, "cholesky", refuse)
         path = tmp_path / "dup.csv"
         save_dataset(duplicated_large_column_dataset(), path)
         assert run_cli("fit", "--data", str(path), "--label", "label") == 1
@@ -737,3 +748,31 @@ class TestHelp:
             run_cli(*cmd, "--help")
         assert excinfo.value.code == 0
         assert "usage" in capsys.readouterr().out.lower()
+
+
+class TestImports:
+    def test_both_stages_run_without_scipy(self):
+        # scipy used to cost every command about 0.45 s of import; numpy suffices
+        code = """
+import sys
+import numpy as np
+import reliopt.cli
+from reliopt import Dataset, PipelineConfig, SwarmConfig, compute_bounds, fit
+from reliopt import optimize_reliability
+rng = np.random.default_rng(0)
+ds = Dataset(rng.normal(size=(20, 2)), [0, 1] * 10, ("a", "b"))
+model, _ = fit(ds)
+swarm = SwarmConfig(population_size=4, max_iterations=2, seed=0)
+optimize_reliability(model, compute_bounds(ds), PipelineConfig(swarm=swarm, n_runs=2))
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+        src = str(Path(reliopt.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            env={"PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "[]\n"

@@ -23,7 +23,9 @@ from reliopt.errors import (
     MissingValuesRejectedError,
     UnknownLabelColumnError,
 )
-from reliopt.logistic import sigmoid
+from reliopt.logistic import LogisticModel, sigmoid
+from reliopt.oracle import CornerSolution
+from reliopt.pso import SwarmResult
 
 from conftest import write_csv
 
@@ -318,3 +320,24 @@ class TestGenerateSynthetic:
         flat = Bounds(np.array([1.0]), np.array([1.0]))
         with pytest.raises(InvalidDimensionsError):
             generate_synthetic(1, 10, [0.0, 0.0], flat, seed=0)
+
+
+# each builds a record from the caller's array and returns the array it stored
+STORED_ARRAY = {
+    "Bounds": lambda a: Bounds(a, a + 1.0).lower,
+    "Dataset": lambda a: Dataset(a[:, np.newaxis], [0, 1, 1], ("x",)).features[:, 0],
+    "LogisticModel": lambda a: LogisticModel(a, ("x", "y")).beta,
+    "SwarmResult": lambda a: SwarmResult(0, a, 2.0, 2, a).history,
+    "CornerSolution": lambda a: CornerSolution(a, 0.5, np.ones(3, dtype=int)).position,
+}
+
+
+@pytest.mark.parametrize("record", sorted(STORED_ARRAY))
+def test_records_copy_the_callers_array(record):
+    caller = np.array([0.0, 1.0, 2.0])
+    stored = STORED_ARRAY[record](caller)
+    # used to raise "assignment destination is read-only": the record froze
+    # the caller's own contiguous float64 array instead of a copy
+    caller[0] = 5.0
+    assert stored.tolist() == [0.0, 1.0, 2.0]
+    assert not stored.flags.writeable

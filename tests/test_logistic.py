@@ -12,14 +12,11 @@ from reliopt.errors import (
     DimensionMismatchError,
     MalformedModelError,
     SingleClassDatasetError,
-    SingularHessianError,
 )
 from reliopt.logistic import (
     FALLBACK_RIDGE,
     LogisticModel,
     fit,
-    gradient,
-    hessian,
     log_likelihood,
     load_model,
     model_from_json,
@@ -30,6 +27,7 @@ from reliopt.logistic import (
 )
 
 from conftest import duplicated_large_column_dataset
+from oracles import gradient, hessian
 
 
 def make_model(*beta, names=None):
@@ -47,6 +45,13 @@ def random_case(rng, m=None, n=None):
     if labels.min() == labels.max():
         labels[0] = 1 - labels[0]
     return model, Dataset(features=features, labels=labels, feature_names=model.feature_names)
+
+
+def standardized(beta, features):
+    """Coefficients on the ratios centered and scaled to unit spread: the
+    same for any rescaling or shift of a ratio (scale-adjusted coefficients)."""
+    center, spread = features.mean(axis=0), features.std(axis=0)
+    return np.concatenate([[beta[0] + beta[1:] @ center], beta[1:] * spread])
 
 
 def fd_gradient(model, dataset, step=1e-5):
@@ -299,13 +304,23 @@ class TestFit:
             feature_names=("a", "b", "b_copy"),
         )
         model, report = fit(ds)
-        assert report.ridge_used == FALLBACK_RIDGE
+        # at beta = 0 every weight is 1/4 and every scaled column has squared
+        # norm m, so the curvature's mean diagonal is m/4
+        assert report.ridge_used == pytest.approx(FALLBACK_RIDGE * ds.n_rows / 4, rel=1e-12)
         assert report.converged
         assert np.isfinite(model.beta).all()
+        # the ridge splits the duplicated ratio's weight evenly
+        assert model.beta[2] == pytest.approx(model.beta[3], rel=1e-9)
 
-    def test_singular_even_with_fallback_ridge(self):
-        with pytest.raises(SingularHessianError, match="even with the fallback ridge"):
-            fit(duplicated_large_column_dataset())
+    def test_duplicated_large_column_fits_like_its_scaled_twin(self):
+        ds = duplicated_large_column_dataset()
+        twin = Dataset(1e-6 * ds.features, ds.labels, ds.feature_names)
+        model, report = fit(ds)
+        twin_model, twin_report = fit(twin)
+        assert report.converged and twin_report.converged
+        assert report.ridge_used > 0
+        a, b = standardized(model.beta, ds.features), standardized(twin_model.beta, twin.features)
+        assert np.abs(a - b).max() <= 1e-10 * np.abs(a).max()
 
     def test_reported_gradient_is_the_public_gradient(self):
         rng = np.random.default_rng(11)
@@ -316,12 +331,35 @@ class TestFit:
             assert report.max_abs_gradient == float(np.abs(gradient(model, ds)).max())
 
     def test_gradient_below_tolerance_at_optimum(self, six_point_dataset, monkeypatch):
-        monkeypatch.setattr(logistic, "GRAD_TOL", 1e-10)
+        monkeypatch.setattr(logistic, "DECREMENT_TOL", 1e-20)
         model, report = fit(six_point_dataset)
         assert report.converged
-        assert report.max_abs_gradient <= 1e-10
-        assert np.abs(gradient(model, six_point_dataset)).max() <= 1e-10
+        assert report.max_abs_gradient <= 1e-15
+        assert np.abs(gradient(model, six_point_dataset)).max() <= 1e-15
+        assert model.beta[1] == pytest.approx(math.log(2), rel=1e-15)
 
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        column=st.integers(0, 3),
+        k=st.integers(-12, 12),
+        offset=st.floats(-10.0, 10.0),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_rescaling_a_ratio_changes_no_fit(self, seed, column, k, offset):
+        # x -> 10^k x + c, |c| <= 10 * 10^k: a ratio restated in other units
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(20, 201))
+        x = rng.normal(size=(m, 4))
+        labels = (rng.random(m) < sigmoid(x @ rng.normal(size=4))).astype(int)
+        labels[:2] = [0, 1]
+        moved = x.copy()
+        moved[:, column] = 10.0**k * moved[:, column] + offset * 10.0**k
+        names = ("a", "b", "c", "d")
+        model, report = fit(Dataset(x, labels, names))
+        moved_model, moved_report = fit(Dataset(moved, labels, names))
+        assert moved_report.converged == report.converged
+        a, b = standardized(model.beta, x), standardized(moved_model.beta, moved)
+        assert np.abs(a - b).max() <= 1e-10 * np.abs(a).max()
 
 FIT = {
     "converged": True,
