@@ -89,7 +89,7 @@ class LogisticModel:
 class FitReport:
     """How ``fit`` ended. ``max_abs_gradient`` is taken at the returned beta,
     in the ratios' units; ``ridge_used`` is 0 or the fallback ridge, in the
-    centered, unit-spread coordinates the fit runs in."""
+    midrange-centered, half-range-scaled coordinates the fit runs in."""
 
     converged: bool
     iterations: int
@@ -164,13 +164,13 @@ def log_likelihood(model: LogisticModel, dataset: Dataset) -> float:
 def fit(dataset: Dataset) -> tuple[LogisticModel, FitReport]:
     """Maximum-likelihood fit by Newton-Raphson, starting from beta = 0.
 
-    Newton runs on the ratios centered and scaled to unit standard deviation
-    (a constant ratio is only centered); beta is mapped back to the ratios'
-    units at the end. Each step solves ``C delta = grad`` by Cholesky, C
-    being minus the Hessian, and the fit stops after a step whose half
-    squared Newton decrement ``grad @ delta / 2`` (the step's predicted gain
-    in log-likelihood, which has no units) is at most ``DECREMENT_TOL``. So
-    rescaling or shifting a ratio changes neither the stop nor the fitted
+    Newton runs on each ratio less its midrange over half its range, so in
+    [-1, 1] (a constant ratio becomes exactly 0); beta is mapped back to the
+    ratios' units at the end. Each step solves ``C delta = grad`` by
+    Cholesky, C being minus the Hessian, and the fit stops after a step whose
+    half squared Newton decrement ``grad @ delta / 2`` (the step's predicted
+    gain in log-likelihood, which has no units) is at most ``DECREMENT_TOL``.
+    So rescaling or shifting a ratio changes neither the stop nor the fitted
     reliabilities.
 
     A factorization that fails, or has a pivot below ``COLLINEAR_PIVOT`` of
@@ -191,8 +191,9 @@ def fit(dataset: Dataset) -> tuple[LogisticModel, FitReport]:
     if labels.min() == labels.max():
         raise SingleClassDatasetError("single-class dataset: need both healthy and bankrupt rows")
 
-    center = dataset.features.mean(axis=0)
-    spread = dataset.features.std(axis=0)
+    low, high = dataset.features.min(axis=0), dataset.features.max(axis=0)
+    spread = high / 2 - low / 2  # no overflow, and exactly 0 for a constant ratio
+    center = low + spread
     spread[spread == 0] = 1.0
     scaled = _augmented((dataset.features - center) / spread)
     gamma = np.zeros(scaled.shape[1])

@@ -133,6 +133,16 @@ class TestFit:
         assert "singular" in lines[0] and "enable" not in lines[0]
 
 
+    @pytest.mark.filterwarnings("error")
+    def test_ratio_near_1e300_fits_quietly(self, tmp_path, capsys):
+        rows = "".join(f"{(i % 7 + 1) * 1e300!r},{i % 3},{i % 2}\n" for i in range(12))
+        path = write_csv(tmp_path / "huge.csv", "a,b,label\n" + rows)
+        model_path = tmp_path / "model.json"
+        assert run_cli("fit", "--data", path, "--label", "label", "--out", str(model_path)) == 0
+        assert capsys.readouterr().err == ""
+        beta = json.loads(model_path.read_text())["beta"]
+        assert beta[1] != 0.0 and np.isfinite(beta).all()
+
     def test_byte_order_mark_before_label_column(self, tmp_path, capsys):
         # used to end in "no column named 'label'" with exit 2
         path = tmp_path / "bom.csv"

@@ -304,13 +304,48 @@ class TestFit:
             feature_names=("a", "b", "b_copy"),
         )
         model, report = fit(ds)
-        # at beta = 0 every weight is 1/4 and every scaled column has squared
-        # norm m, so the curvature's mean diagonal is m/4
-        assert report.ridge_used == pytest.approx(FALLBACK_RIDGE * ds.n_rows / 4, rel=1e-12)
+        # at beta = 0 every weight is 1/4, so the curvature's mean diagonal is
+        # a quarter of the mean squared column norm of [1, X] in the fit's
+        # coordinates: each ratio less its midrange, over half its range
+        low, high = ds.features.min(axis=0), ds.features.max(axis=0)
+        scaled = (ds.features - (low + high) / 2) / ((high - low) / 2)
+        mean_diagonal = (ds.n_rows + (scaled**2).sum()) / 4 / (ds.n_features + 1)
+        assert report.ridge_used == pytest.approx(FALLBACK_RIDGE * mean_diagonal, rel=1e-12)
         assert report.converged
         assert np.isfinite(model.beta).all()
         # the ridge splits the duplicated ratio's weight evenly
         assert model.beta[2] == pytest.approx(model.beta[3], rel=1e-9)
+
+    def test_constant_ratio_fits_like_the_fit_without_it(self):
+        # a mean of three 0.1s is not 0.1; a constant ratio must still center
+        # to exactly 0 rather than to a +-1 copy of the intercept column
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(30, 2))
+        labels = (rng.random(30) < sigmoid(x @ [1.0, -0.5])).astype(int)
+        without, _ = fit(Dataset(x, labels, ("a", "b")))
+        model, report = fit(Dataset(np.column_stack([x, np.full(30, 0.1)]), labels, ("a", "b", "c")))
+        assert report.converged and report.ridge_used > 0
+        assert model.beta[3] == 0.0
+        # the same coefficients up to the fallback ridge's pull of ~1e-8
+        np.testing.assert_allclose(model.beta[:3], without.beta, rtol=1e-6)
+        rows = np.column_stack([x, np.full(30, 0.1)])
+        np.testing.assert_allclose(
+            reliability_rows(model, rows), reliability_rows(without, x), rtol=1e-6
+        )
+
+    @pytest.mark.filterwarnings("error")
+    def test_ratio_near_1e300_keeps_its_slope(self):
+        # squared deviations of such a ratio overflow; its range does not
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(30, 2))
+        labels = (rng.random(30) < sigmoid(x @ [1.0, -0.5])).astype(int)
+        small, small_report = fit(Dataset(x, labels, ("a", "b")))
+        huge = x.copy()
+        huge[:, 0] = 1e300 * (huge[:, 0] + 5.0)
+        model, report = fit(Dataset(huge, labels, ("a", "b")))
+        assert report.converged == small_report.converged and report.ridge_used == 0
+        assert model.beta[1] * 1e300 == pytest.approx(small.beta[1], rel=1e-10)
+        assert model.beta[0] == pytest.approx(small.beta[0] - 5.0 * small.beta[1], rel=1e-10)
 
     def test_duplicated_large_column_fits_like_its_scaled_twin(self):
         ds = duplicated_large_column_dataset()

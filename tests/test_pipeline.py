@@ -226,9 +226,9 @@ class TestFitWarnings:
         )
         report = run_pipeline(ds, pipeline_config(pop=5, runs=2, n_prescriptions=0))
         assert report.fit_report.converged
-        # FALLBACK_RIDGE times the mean curvature diagonal m/4 at beta = 0
+        # FALLBACK_RIDGE times the curvature's mean diagonal at beta = 0
         assert report.warnings == (
-            "fit needed the fallback ridge 7.5e-08: "
+            "fit needed the fallback ridge 2.88874e-08: "
             "the curvature was singular, e.g. from collinear ratios",
         )
 
