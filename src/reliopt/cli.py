@@ -28,6 +28,7 @@ from .data import (
     save_dataset,
 )
 from .errors import (
+    DimensionMismatchError,
     InvalidDimensionsError,
     ReliOptError,
     UnknownLabelColumnError,
@@ -269,9 +270,16 @@ def cmd_fit(args: argparse.Namespace) -> int:
     return 0
 
 
-def _bounds_from_args(args: argparse.Namespace, settings: dict) -> Bounds:
+def _bounds_from_args(args: argparse.Namespace, settings: dict, model) -> Bounds:
     if args.bounds is None:
-        return compute_bounds(_load(settings))
+        dataset = _load(settings)
+        # bounds are matched to coefficients by position, so the columns must be the model's
+        if dataset.feature_names != model.feature_names:
+            raise DimensionMismatchError(
+                f"{settings['data']} has ratios {list(dataset.feature_names)}, but "
+                f"{args.model} was fitted on {list(model.feature_names)}"
+            )
+        return compute_bounds(dataset)
     path = Path(args.bounds)
     payload = _read_json(path, "file")
     try:
@@ -291,7 +299,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         raise _UsageError("--model is required")
     pipeline_config = _pipeline_config(settings)
     model, fit_report = load_model(args.model)
-    bounds = _bounds_from_args(args, settings)
+    bounds = _bounds_from_args(args, settings, model)
     report = optimize_reliability(model, bounds, pipeline_config, fit_report=fit_report)
     _emit_report(args, report, settings["out"])
     return 0

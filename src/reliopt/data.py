@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import enum
+import math
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -120,42 +121,32 @@ class Dataset:
         )
 
 
-def _parse_cell(cell: str, column: str, lineno: int, path: Path) -> float:
-    """Parse one feature cell; missing cells become NaN."""
-    text = cell.strip()
-    if text.lower() in _MISSING_TOKENS:
-        return np.nan
+def _number(cell: str) -> float | None:
+    """A cell's value: None when it is missing, ValueError when it is not a number."""
     try:
-        value = float(text)
+        return float(cell)
     except ValueError:
-        raise MalformedRowError(
-            f"{path}:{lineno}: non-numeric value {cell!r} in column {column!r}"
-        ) from None
-    if not np.isfinite(value):
-        raise MalformedRowError(f"{path}:{lineno}: non-finite value {cell!r} in column {column!r}")
-    return value
+        if cell.strip().lower() in _MISSING_TOKENS:
+            return None
+        raise
 
 
 def mean_impute(features: np.ndarray) -> np.ndarray:
     """Replace each NaN cell with the mean of its column's non-NaN entries.
 
     A complete matrix passes through unchanged (identity up to copying).
-    Raises AllMissingColumnError when a column has no observed value at all.
+    Every column must have at least one observed value.
     """
     out = np.array(features, dtype=float)
     for j in range(out.shape[1]):
         column = out[:, j]
         missing = np.isnan(column)
-        if not missing.any():
-            continue
-        if missing.all():
-            raise AllMissingColumnError(f"column {j} has no observed values to average")
         column[missing] = column[~missing].mean()
     return out
 
 
 def _read_rows(path: Path, label_column: str):
-    """The feature names, parsed feature rows and labels of a CSV file."""
+    """The feature names, feature rows (NaN where missing) and labels of a CSV file."""
     # utf-8-sig drops the byte order mark that spreadsheet exports put first
     with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
@@ -178,23 +169,30 @@ def _read_rows(path: Path, label_column: str):
                 raise MalformedRowError(
                     f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
                 )
-            label_text = row[label_index].strip()
-            if label_text.lower() in _MISSING_TOKENS:
-                raise InvalidLabelError(f"{path}:{lineno}: missing label")
+            text = row.pop(label_index).strip()
             try:
-                label_value = float(label_text)
+                label = _number(text)
             except ValueError:
-                raise InvalidLabelError(f"{path}:{lineno}: invalid label {label_text!r}") from None
-            if label_value not in (0.0, 1.0):
-                raise InvalidLabelError(f"{path}:{lineno}: label must be 0 or 1, got {label_text!r}")
-            labels.append(int(label_value))
-            rows.append(
-                [
-                    _parse_cell(cell, header[i], lineno, path)
-                    for i, cell in enumerate(row)
-                    if i != label_index
-                ]
-            )
+                raise InvalidLabelError(f"{path}:{lineno}: invalid label {text!r}") from None
+            if label is None:
+                raise InvalidLabelError(f"{path}:{lineno}: missing label")
+            if label not in (0.0, 1.0):
+                raise InvalidLabelError(f"{path}:{lineno}: label must be 0 or 1, got {text!r}")
+            labels.append(int(label))
+            values = []
+            try:
+                for name, cell in zip(feature_names, row):
+                    value = _number(cell)
+                    if value is not None and not math.isfinite(value):
+                        raise MalformedRowError(
+                            f"{path}:{lineno}: non-finite value {cell!r} in column {name!r}"
+                        )
+                    values.append(math.nan if value is None else value)
+            except ValueError:
+                raise MalformedRowError(
+                    f"{path}:{lineno}: non-numeric value {cell!r} in column {name!r}"
+                ) from None
+            rows.append(values)
     return feature_names, rows, labels
 
 
@@ -207,7 +205,8 @@ def load_dataset(
 
     The label column is removed from the feature matrix; row order is
     preserved. Missing feature cells are handled per ``policy``; a missing
-    label cell is always an error.
+    label cell is always an error. A malformed file raises at its first bad
+    line in file order, naming the line and, for a bad cell, its column.
     """
     path = Path(path)
     if not path.exists():

@@ -48,4 +48,5 @@ class SingularHessianError(ReliOptError):
 
 
 class NonFiniteIterateError(ReliOptError):
-    """A Newton iterate left the representable range."""
+    """A Newton iterate, or a slope mapped back to its ratio's units, left
+    the representable range."""

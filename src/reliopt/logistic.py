@@ -147,20 +147,6 @@ def _log_likelihood(labels: np.ndarray, t: np.ndarray) -> float:
     return math.fsum(np.where(labels == 1, log_sigmoid(t), log_sigmoid(-t)))
 
 
-def log_likelihood(model: LogisticModel, dataset: Dataset) -> float:
-    """Bernoulli log-likelihood of the dataset under the model.
-
-    The score is ``[1, X] @ beta``, as in ``fit``'s report. Rows are summed
-    with ``math.fsum``, so the result is correctly rounded: duplicating every
-    row exactly doubles it.
-    """
-    if dataset.n_features != model.n_features:
-        raise DimensionMismatchError(
-            f"model has {model.n_features} features, dataset has {dataset.n_features}"
-        )
-    return _log_likelihood(dataset.labels, _augmented(dataset.features) @ model.beta)
-
-
 def fit(dataset: Dataset) -> tuple[LogisticModel, FitReport]:
     """Maximum-likelihood fit by Newton-Raphson, starting from beta = 0.
 
@@ -224,7 +210,11 @@ def fit(dataset: Dataset) -> tuple[LogisticModel, FitReport]:
             raise NonFiniteIterateError("Newton iterate overflowed")
         iterations += 1
 
-    slopes = gamma[1:] / spread
+    try:
+        with np.errstate(over="raise"):
+            slopes = gamma[1:] / spread
+    except FloatingPointError:
+        raise NonFiniteIterateError("a fitted slope overflows in its ratio's own units") from None
     beta = np.concatenate([[gamma[0] - slopes @ center], slopes])
     model = LogisticModel(beta=beta, feature_names=dataset.feature_names)
     augmented = _augmented(dataset.features)

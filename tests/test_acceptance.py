@@ -25,12 +25,12 @@ from reliopt import (
 )
 from reliopt.cli import render_report_table
 from reliopt.data import MissingPolicy, generate_synthetic
-from reliopt.logistic import log_likelihood, reliability_rows
+from reliopt.logistic import reliability_rows
 from reliopt.oracle import corner_optimum
 from reliopt.pipeline import normalized_distance, optimize_reliability
 from reliopt.pso import maximize, position_update, velocity_update
 
-from oracles import gradient, within
+from oracles import gradient, log_likelihood, within
 
 # shipped seed lists: frozen so every checkout reproduces the same verdicts
 CORNER_CASE_SEEDS = list(range(100))

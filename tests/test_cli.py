@@ -1,3 +1,4 @@
+import copy
 import json
 import re
 import subprocess
@@ -243,6 +244,29 @@ class TestOptimize:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["bounds"]["lower"] == [0.0] * 9
+
+    @pytest.mark.parametrize("change", ["reordered", "renamed"])
+    def test_data_columns_other_than_the_models_exit_1(
+        self, synth_csv, model_json, tmp_path, capsys, change
+    ):
+        # both used to exit 0; reordered, x9's range went to x1's coefficient
+        rows = [line.split(",") for line in synth_csv.read_text().splitlines()]
+        model_names = rows[0][:-1]
+        if change == "reordered":
+            rows = [row[-2::-1] + row[-1:] for row in rows]
+        else:
+            rows[0] = [f"r{j}" for j in range(1, 10)] + ["label"]
+        data = tmp_path / f"{change}.csv"
+        data.write_text("".join(",".join(row) + "\n" for row in rows))
+        capsys.readouterr()
+        code = run_cli(
+            "optimize", "--model", str(model_json), "--data", str(data), "--label", "label",
+            "--pop", "10", "--iters", "2", "--runs", "2",
+        )
+        assert code == 1
+        line = assert_single_error(capsys)
+        assert str(data) in line and str(model_json) in line
+        assert str(rows[0][:-1]) in line and str(model_names) in line
 
     def test_missing_model_flag_is_usage_error(self, synth_csv):
         assert run_cli("optimize", "--data", str(synth_csv), "--label", "label") == 2
@@ -560,9 +584,11 @@ _VALID = {
     ("pipeline", "prescriptions"): st.integers(0, 1),
     ("pipeline", "radius"): st.floats(0, 1),
 }
+# Each draw is a fresh copy: a drawn {"a": 1} can become a section that later
+# draws write into, and a shared one would carry those writes to other examples.
 _WRONG = st.sampled_from(
     ["abc", "", True, False, None, [1], {"a": 1}, float("nan"), float("inf"), -1, 0, 1.5]
-)
+).map(copy.deepcopy)
 _SIZES = {"pop", "iters", "runs"}  # a null here would bring back a large default
 
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -28,6 +28,7 @@ from reliopt.oracle import CornerSolution
 from reliopt.pso import SwarmResult
 
 from conftest import write_csv
+from oracles import reference_load_dataset
 
 
 class TestLoadDataset:
@@ -166,6 +167,83 @@ class TestLoadDataset:
         path = tmp_path / "out.csv"
         save_dataset(original, path)
         assert load_dataset(path, "label", MissingPolicy.REJECT_MISSING) == original
+
+
+_NUMBER_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-(10**6), 10**6).map(str),
+    st.sampled_from(["1e3", " 2.5 ", "-0", ".5", "+7", "1E-3", '"4.25"']),
+)
+_MISSING_CELLS = st.sampled_from(["", "NA", "na", " na ", "  ", "nA", '"NA"', '""'])
+# Early entries are drawn most often, so each list starts with its most telling cells.
+_JUNK_CELLS = st.sampled_from(
+    ["nan", "inf", "abc", "1e400", "0x1A", "1_0", "-inf", "1.2.3", "NaN", "Infinity"]
+    + ['"1,5"', '"2\n"', "\u00a03\u00a0", "\u0663", "1\x00"]
+)
+_JUNK_LABELS = st.sampled_from(
+    [" 2 ", "yes", " nan ", "", " na ", " -1 ", "0.5", "NA", "inf", "1_0", "2"]
+    + ["1.0", " 0 ", "0e0", '"1"']
+)
+_JUNK_NAMES = st.sampled_from(["status", "a", " b ", "", "label", '"c"'])
+_FEATURE_CELLS = st.integers(0, 39).flatmap(
+    lambda k: _JUNK_CELLS if k == 0 else _MISSING_CELLS if k <= 5 else _NUMBER_CELLS
+)
+_LABEL_CELLS = st.integers(0, 15).flatmap(
+    lambda k: _JUNK_LABELS if k == 0 else st.sampled_from("01")
+)
+_FAULTS = ("name", "drop", "extra")
+
+
+@st.composite
+def csv_bodies(draw):
+    """CSV text: a table of numbers with now and then a missing cell, a junk,
+    non-finite or quoted cell or a junk label, the label column at any
+    position, given up to two faults (a renamed or repeated header name, a
+    dropped or an extra field), then joined with any of three line ends, a
+    byte order mark or not, and a final line end or not."""
+    name = st.sampled_from(["a", "b", "c", "r1"])
+    names = draw(st.lists(name, min_size=1, max_size=4, unique=True))
+    at = draw(st.integers(0, len(names)))
+    table = [names[:at] + [draw(st.sampled_from(["label", " label "]))] + names[at:]]
+    for _ in range(draw(st.integers(1, 8))):
+        row = [draw(_FEATURE_CELLS) for _ in names]
+        table.append(row[:at] + [draw(_LABEL_CELLS)] + row[at:])
+    faults = draw(st.lists(st.sampled_from(_FAULTS), max_size=2))
+    for fault in sorted(faults, key=_FAULTS.index):  # the field count changes last
+        if fault == "name":
+            table[0][draw(st.integers(0, len(names)))] = draw(_JUNK_NAMES)
+        elif fault == "drop":
+            del draw(st.sampled_from(table))[-1:]
+        else:
+            draw(st.sampled_from(table)).append("1")
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = eol.join(",".join(row) for row in table) + (eol if draw(st.booleans()) else "")
+    return ("\ufeff" if draw(st.booleans()) else "") + text
+
+
+def _outcome(read, path, policy):
+    try:
+        ds = read(path, "label", policy)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return (
+        ds.feature_names,
+        ds.features.dtype.str,
+        ds.features.shape,
+        ds.features.tobytes(),
+        ds.labels.dtype.str,
+        ds.labels.tobytes(),
+    )
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(body=csv_bodies())
+def test_reader_matches_the_reference(tmp_path, body):
+    path = tmp_path / "d.csv"
+    path.write_text(body, encoding="utf-8", newline="")
+    for policy in MissingPolicy:
+        expected = _outcome(reference_load_dataset, path, policy)
+        assert _outcome(load_dataset, path, policy) == expected
 
 
 class TestDatasetInvariants:

@@ -11,13 +11,13 @@ from reliopt.data import Bounds, Dataset, generate_synthetic
 from reliopt.errors import (
     DimensionMismatchError,
     MalformedModelError,
+    NonFiniteIterateError,
     SingleClassDatasetError,
 )
 from reliopt.logistic import (
     FALLBACK_RIDGE,
     LogisticModel,
     fit,
-    log_likelihood,
     load_model,
     model_from_json,
     model_to_json,
@@ -27,7 +27,7 @@ from reliopt.logistic import (
 )
 
 from conftest import duplicated_large_column_dataset
-from oracles import gradient, hessian
+from oracles import gradient, hessian, log_likelihood
 
 
 def make_model(*beta, names=None):
@@ -346,6 +346,13 @@ class TestFit:
         assert report.converged == small_report.converged and report.ridge_used == 0
         assert model.beta[1] * 1e300 == pytest.approx(small.beta[1], rel=1e-10)
         assert model.beta[0] == pytest.approx(small.beta[0] - 5.0 * small.beta[1], rel=1e-10)
+
+    def test_slope_beyond_float_range_is_a_typed_error(self):
+        # separable across a range of 1e-308: the slope in the ratio's units
+        # overflows, which was a RuntimeWarning and then "beta must be finite"
+        ds = Dataset(np.array([[0.0], [1.1125369292536007e-308]]), [0, 1], ("a",))
+        with pytest.raises(NonFiniteIterateError, match="overflows"):
+            fit(ds)
 
     def test_duplicated_large_column_fits_like_its_scaled_twin(self):
         ds = duplicated_large_column_dataset()
