@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import enum
 import math
+import struct
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -135,18 +136,43 @@ def mean_impute(features: np.ndarray) -> np.ndarray:
     """Replace each NaN cell with the mean of its column's non-NaN entries.
 
     A complete matrix passes through unchanged (identity up to copying).
-    Every column must have at least one observed value.
+    Every column must have at least one observed value. When the observed
+    values sum past the float range, the mean is taken of them scaled by
+    their largest magnitude, which cannot overflow.
     """
     out = np.array(features, dtype=float)
     for j in range(out.shape[1]):
         column = out[:, j]
         missing = np.isnan(column)
-        column[missing] = column[~missing].mean()
+        observed = column[~missing]
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = observed.mean()
+            if not math.isfinite(mean):
+                scale = np.abs(observed).max()
+                mean = scale * (observed / scale).mean()
+        column[missing] = mean
     return out
 
 
+def _raise_at(path: Path, lineno: int, names: tuple[str, ...], row: list[str]) -> None:
+    """Raise the error of a row's first bad feature cell in column order.
+
+    Returns when every cell is a number or missing and none is non-finite.
+    """
+    for name, cell in zip(names, row):
+        try:
+            value = _number(cell)
+        except ValueError:
+            raise MalformedRowError(
+                f"{path}:{lineno}: non-numeric value {cell!r} in column {name!r}"
+            ) from None
+        if value is not None and not math.isfinite(value):
+            raise MalformedRowError(f"{path}:{lineno}: non-finite value {cell!r} in column {name!r}")
+
+
 def _read_rows(path: Path, label_column: str):
-    """The feature names, feature rows (NaN where missing) and labels of a CSV file."""
+    """The feature names, the feature cells (NaN where missing) and the
+    labels of a CSV file."""
     # utf-8-sig drops the byte order mark that spreadsheet exports put first
     with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
@@ -162,9 +188,12 @@ def _read_rows(path: Path, label_column: str):
         label_index = header.index(label_column)
         feature_names = tuple(name for i, name in enumerate(header) if i != label_index)
 
-        rows: list[list[float]] = []
+        cells = bytearray()  # float64 in native byte order, row after row
+        pack = struct.Struct(f"{len(feature_names)}d").pack
         labels: list[int] = []
-        for lineno, row in enumerate(reader, start=2):
+        first_line = reader.line_num + 1  # a quoted field may hold line breaks
+        for row in reader:
+            lineno, first_line = first_line, reader.line_num + 1
             if len(row) != len(header):
                 raise MalformedRowError(
                     f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
@@ -179,21 +208,24 @@ def _read_rows(path: Path, label_column: str):
             if label not in (0.0, 1.0):
                 raise InvalidLabelError(f"{path}:{lineno}: label must be 0 or 1, got {text!r}")
             labels.append(int(label))
-            values = []
-            try:
-                for name, cell in zip(feature_names, row):
-                    value = _number(cell)
-                    if value is not None and not math.isfinite(value):
-                        raise MalformedRowError(
-                            f"{path}:{lineno}: non-finite value {cell!r} in column {name!r}"
-                        )
-                    values.append(math.nan if value is None else value)
-            except ValueError:
-                raise MalformedRowError(
-                    f"{path}:{lineno}: non-numeric value {cell!r} in column {name!r}"
-                ) from None
-            rows.append(values)
-    return feature_names, rows, labels
+            # a missing cell holds 0.0 until the row's sum has been checked
+            values: list[float] = []
+            missing: list[int] = []
+            for cell in row:
+                try:
+                    values.append(float(cell))
+                except ValueError:
+                    if cell.strip().lower() not in _MISSING_TOKENS:
+                        _raise_at(path, lineno, feature_names, row)
+                    missing.append(len(values))
+                    values.append(0.0)
+            if not math.isfinite(sum(values)):
+                # a non-finite cell, or finite cells whose sum overflows
+                _raise_at(path, lineno, feature_names, row)
+            for j in missing:
+                values[j] = math.nan
+            cells += pack(*values)
+    return feature_names, cells, labels
 
 
 def load_dataset(
@@ -206,20 +238,21 @@ def load_dataset(
     The label column is removed from the feature matrix; row order is
     preserved. Missing feature cells are handled per ``policy``; a missing
     label cell is always an error. A malformed file raises at its first bad
-    line in file order, naming the line and, for a bad cell, its column.
+    record in file order, naming the file line the record starts on and, for
+    a bad cell, its column.
     """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"no such file: {path}")
 
     try:
-        feature_names, rows, labels = _read_rows(path, label_column)
+        feature_names, cells, labels = _read_rows(path, label_column)
     except UnicodeDecodeError:
         raise MalformedRowError(f"{path}: not UTF-8 text") from None
 
-    if not rows:
+    if not labels:
         raise InvalidDimensionsError(f"{path}: no data rows")
-    features = np.asarray(rows, dtype=float)
+    features = np.frombuffer(cells, dtype=float).reshape(len(labels), len(feature_names))
     missing = np.isnan(features)
     if missing.any():
         if policy is MissingPolicy.REJECT_MISSING:

@@ -137,7 +137,13 @@ def _mean_impute(features: np.ndarray) -> np.ndarray:
             continue
         if missing.all():
             raise AllMissingColumnError(f"column {j} has no observed values to average")
-        column[missing] = column[~missing].mean()
+        observed = column[~missing]
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = observed.mean()
+            if not np.isfinite(mean):  # the observed values sum past the float range
+                scale = np.abs(observed).max()
+                mean = scale * (observed / scale).mean()
+        column[missing] = mean
     return out
 
 
@@ -158,7 +164,9 @@ def _read_rows(path: Path, label_column: str):
 
         rows: list[list[float]] = []
         labels: list[int] = []
-        for lineno, row in enumerate(reader, start=2):
+        first_line = reader.line_num + 1  # a quoted field may hold line breaks
+        for row in reader:
+            lineno, first_line = first_line, reader.line_num + 1
             if len(row) != len(header):
                 raise MalformedRowError(
                     f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"

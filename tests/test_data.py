@@ -1,3 +1,6 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -29,6 +32,10 @@ from reliopt.pso import SwarmResult
 
 from conftest import write_csv
 from oracles import reference_load_dataset
+
+# a load's tracemalloc peak in feature matrices: 3.4 when rows go straight into
+# one float64 buffer, 6.5 when they were kept as lists of Python floats
+PEAK_ALLOC_BOUND = 4.5
 
 
 class TestLoadDataset:
@@ -136,6 +143,54 @@ class TestLoadDataset:
         with pytest.raises(MalformedRowError, match="non-finite"):
             load_dataset(path, "label")
 
+    def test_row_whose_sum_overflows_loads(self, tmp_path):
+        # each cell is finite, only the row's sum is not
+        path = write_csv(tmp_path / "d.csv", "a,b,label\n1.7e308,1.7e308,1\n0,0,0\n")
+        ds = load_dataset(path, "label")
+        assert ds.features.tolist() == [[1.7e308, 1.7e308], [0.0, 0.0]]
+
+    @pytest.mark.parametrize(
+        "cells,bad,column", [("inf,abc", "inf", "a"), ("NA,nan", "nan", "b")]
+    )
+    def test_first_bad_cell_of_a_row_is_named(self, tmp_path, cells, bad, column):
+        path = write_csv(tmp_path / "d.csv", f"a,b,label\n1,2,1\n{cells},0\n")
+        with pytest.raises(
+            MalformedRowError, match=rf"d\.csv:3: non-finite value '{bad}' in column '{column}'"
+        ):
+            load_dataset(path, "label")
+
+    def test_error_names_the_file_line_after_a_quoted_line_break(self, tmp_path):
+        # the second record spans lines 2-3, so abc is on line 4; used to say :3:
+        path = write_csv(tmp_path / "ml.csv", 'a,label\n"2\n",1\nabc,0\n')
+        with pytest.raises(MalformedRowError, match=r"ml\.csv:4: non-numeric value 'abc'"):
+            load_dataset(path, "label")
+
+    def test_mean_of_a_column_summing_past_the_float_range(self, tmp_path, capfd):
+        # used to warn "overflow encountered in reduce", then fail naming no file
+        path = write_csv(tmp_path / "d.csv", "a,label\n1.7e308,1\n1.7e308,0\nNA,1\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ds = load_dataset(path, "label")
+        assert np.isfinite(ds.features[2, 0])
+        assert capfd.readouterr().err == ""
+
+    def test_peak_allocation_of_a_load(self, tmp_path):
+        # rows once stayed Python floats until one copy into the matrix: ~6x
+        rng = np.random.default_rng(3)
+        cells = np.char.mod("%.6g", rng.normal(size=(2_000, 50))).astype(object)
+        cells[rng.random(cells.shape) < 0.01] = "NA"
+        labels = rng.integers(0, 2, (2_000, 1)).astype(str)
+        lines = [",".join(row) for row in np.hstack([cells, labels]).tolist()]
+        header = ",".join(f"r{j}" for j in range(50)) + ",label\n"
+        path = write_csv(tmp_path / "d.csv", header + "\n".join(lines) + "\n")
+        tracemalloc.start()
+        try:
+            ds = load_dataset(path, "label")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < PEAK_ALLOC_BOUND * ds.features.nbytes
+
     def test_byte_order_mark_skipped(self, tmp_path):
         # spreadsheet exports start UTF-8 files with a BOM; the label came first
         path = tmp_path / "d.csv"
@@ -173,6 +228,8 @@ _NUMBER_CELLS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
     st.integers(-(10**6), 10**6).map(str),
     st.sampled_from(["1e3", " 2.5 ", "-0", ".5", "+7", "1E-3", '"4.25"']),
+    # two of one sign in a row sum past the float range though each is finite
+    st.sampled_from(["1.7e308", "-1.7e308"]),
 )
 _MISSING_CELLS = st.sampled_from(["", "NA", "na", " na ", "  ", "nA", '"NA"', '""'])
 # Early entries are drawn most often, so each list starts with its most telling cells.
