@@ -133,16 +133,16 @@ def _number(cell: str) -> float | None:
 
 
 def mean_impute(features: np.ndarray) -> np.ndarray:
-    """Replace each NaN cell with the mean of its column's non-NaN entries.
+    """Fill each NaN cell of a writable float matrix, in place, with the mean
+    of its column's non-NaN entries, and return the matrix.
 
-    A complete matrix passes through unchanged (identity up to copying).
-    Every column must have at least one observed value. When the observed
-    values sum past the float range, the mean is taken of them scaled by
-    their largest magnitude, which cannot overflow.
+    A complete matrix is left as it is. Every column must have at least one
+    observed value. When the observed values sum past the float range, the
+    mean is taken of them scaled by their largest magnitude, which cannot
+    overflow.
     """
-    out = np.array(features, dtype=float)
-    for j in range(out.shape[1]):
-        column = out[:, j]
+    for j in range(features.shape[1]):
+        column = features[:, j]
         missing = np.isnan(column)
         observed = column[~missing]
         with np.errstate(over="ignore", invalid="ignore"):
@@ -151,7 +151,7 @@ def mean_impute(features: np.ndarray) -> np.ndarray:
                 scale = np.abs(observed).max()
                 mean = scale * (observed / scale).mean()
         column[missing] = mean
-    return out
+    return features
 
 
 def _raise_at(path: Path, lineno: int, names: tuple[str, ...], row: list[str]) -> None:
@@ -252,6 +252,7 @@ def load_dataset(
 
     if not labels:
         raise InvalidDimensionsError(f"{path}: no data rows")
+    # a writable view of the row buffer, which nothing else holds: imputed in place
     features = np.frombuffer(cells, dtype=float).reshape(len(labels), len(feature_names))
     missing = np.isnan(features)
     if missing.any():
@@ -264,7 +265,7 @@ def load_dataset(
         if missing.all(axis=0).any():
             name = feature_names[int(np.argmax(missing.all(axis=0)))]
             raise AllMissingColumnError(f"{path}: column {name!r} has no observed values")
-        features = mean_impute(features)
+        mean_impute(features)
     try:
         return Dataset(features=features, labels=np.asarray(labels), feature_names=feature_names)
     except InvalidDimensionsError as exc:

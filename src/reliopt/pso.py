@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Bounds
-from .errors import DimensionMismatchError
 from .logistic import freeze_fields
 
 # Largest (runs, pop, n) swarm array one stacked group may hold, in floats.
@@ -81,50 +80,6 @@ class SwarmResult:
         freeze_fields(self, best_position=float, history=float)
 
 
-def _as_matching(*vectors) -> list[np.ndarray]:
-    arrays = [np.asarray(v, dtype=float) for v in vectors]
-    shape = arrays[0].shape
-    for a in arrays[1:]:
-        if a.shape != shape:
-            raise DimensionMismatchError(f"shape {a.shape} does not match {shape}")
-    return arrays
-
-
-def velocity_update(
-    v_old,
-    x_old,
-    personal_best,
-    global_best,
-    w: float,
-    c1: float,
-    c2: float,
-    r1,
-    r2,
-    v_max=None,
-):
-    """One velocity step; ``v_max`` (if given) clamps each component to
-    ``[-v_max, v_max]``. Accepts stacked rows as well as single vectors."""
-    v_old, x_old, personal_best, global_best = _as_matching(
-        v_old, x_old, personal_best, global_best
-    )
-    r1 = np.asarray(r1, dtype=float)
-    r2 = np.asarray(r2, dtype=float)
-    v_new = w * v_old + c1 * r1 * (personal_best - x_old) + c2 * r2 * (global_best - x_old)
-    if v_max is not None:
-        v_new = np.clip(v_new, -np.asarray(v_max, dtype=float), v_max)
-    return v_new
-
-
-def position_update(x_old, v_new, bounds: Bounds):
-    """One position step, clamped into the box."""
-    x_old, v_new = _as_matching(x_old, v_new)
-    if x_old.shape[-1] != bounds.n:
-        raise DimensionMismatchError(
-            f"position has {x_old.shape[-1]} dimensions, bounds have {bounds.n}"
-        )
-    return np.clip(x_old + v_new, bounds.lower, bounds.upper)
-
-
 def maximize(
     objective, bounds: Bounds, config: SwarmConfig, seeds: Iterable[int]
 ) -> list[SwarmResult]:
@@ -143,6 +98,13 @@ def maximize(
     particle 0, then particle 1, and so on. A stacked run is therefore
     bit-identical to the same seed run alone.
 
+    A sweep is a fixed set of in-place operations on buffers allocated once
+    per group, taken in the order the formula above reads, so every value
+    rounds as it would in a fresh array per step, from the same draws. The
+    objective always gets the group's positions as the same C-contiguous
+    float64 ``(runs*pop, n)`` block, which the next sweep overwrites: an
+    objective that keeps its rows copies them.
+
     Initial positions are uniform in the box, initial velocities uniform in
     ``+-(upper - lower)``. Degenerate dimensions (zero width) stay pinned at
     their bound: their positions, velocities and both difference terms are
@@ -158,60 +120,75 @@ def maximize(
 
 def _stacked(objective, bounds: Bounds, config: SwarmConfig, seeds: list[int]) -> list[SwarmResult]:
     rngs = [np.random.default_rng(seed) for seed in seeds]
-    lower, upper = bounds.lower, bounds.upper
     span = bounds.span
-    v_max = config.velocity_clamp_fraction * span
     runs, pop, n = len(seeds), config.population_size, bounds.n
     shape = (runs, pop, n)
 
-    def evaluate(points):
-        return np.array(objective(points.reshape(runs * pop, n)), dtype=float).reshape(runs, pop)
+    def full(rows):
+        return np.broadcast_to(rows, shape).copy()
 
     positions = np.empty(shape)
     velocities = np.empty(shape)
     for rng, x, v in zip(rngs, positions, velocities):
-        x[...] = rng.uniform(lower, upper, size=(pop, n))
+        x[...] = rng.uniform(bounds.lower, bounds.upper, size=(pop, n))
         v[...] = rng.uniform(-span, span, size=(pop, n))
 
+    block = positions.reshape(runs * pop, n)
     run = np.arange(runs)
     best_positions = positions.copy()
-    best_values = evaluate(positions)
+    best_values = np.array(objective(block), dtype=float).reshape(runs, pop)
     leader = np.argmax(best_values, axis=1)
-    global_best = best_positions[run, leader]
-    global_value = best_values[run, leader]
-    history = [global_value]
-
+    global_best = full(best_positions[run, leader][:, np.newaxis])
     sweeps = config.max_iterations
+    history = np.empty((sweeps + 1, runs))
+    history[0] = best_values[run, leader]
+
+    lower, upper = full(bounds.lower), full(bounds.upper)
+    v_max = full(config.velocity_clamp_fraction * span)
+    v_min = -v_max
+    pull = np.empty(shape)
+
+    def clamp(values, low, high):
+        # A tie shows only in the sign of a zero. It goes to the bound, or to
+        # the value when n == 1 (np.clip's rule for a bound that is one
+        # number); np.maximum and np.minimum return their second operand.
+        if n == 1:
+            np.maximum(low, values, out=values)
+            np.minimum(high, values, out=values)
+        else:
+            np.maximum(values, low, out=values)
+            np.minimum(values, high, out=values)
+
     rand = np.empty((runs, pop, 2, 1 if config.scalar_rand else n))
+    r1, r2 = rand[:, :, 0, :], rand[:, :, 1, :]
+    weights = np.broadcast_to(np.array([[config.c1], [config.c2]]), rand.shape).copy()
     for sweep in range(sweeps):
         w = config.w_start + (config.w_end - config.w_start) * (sweep / max(sweeps - 1, 1))
-        for rng, block in zip(rngs, rand):
-            rng.random(out=block)
-        velocities = velocity_update(
-            velocities,
-            positions,
-            best_positions,
-            np.broadcast_to(global_best[:, np.newaxis], shape),
-            w,
-            config.c1,
-            config.c2,
-            rand[:, :, 0, :],
-            rand[:, :, 1, :],
-            v_max,
-        )
-        positions = position_update(positions, velocities, bounds)
-        values = evaluate(positions)
-        improved = values > best_values
-        best_positions[improved] = positions[improved]
-        best_values[improved] = values[improved]
-        leader = np.argmax(best_values, axis=1)
-        gained = best_values[run, leader] > global_value
-        global_value = np.where(gained, best_values[run, leader], global_value)
-        global_best[gained] = best_positions[run[gained], leader[gained]]
-        history.append(global_value)
+        for rng, draws in zip(rngs, rand):
+            rng.random(out=draws)
+        rand *= weights  # c1*r1 and c2*r2
+        velocities *= w
+        np.subtract(best_positions, positions, out=pull)
+        pull *= r1
+        velocities += pull
+        np.subtract(global_best, positions, out=pull)
+        pull *= r2
+        velocities += pull
+        clamp(velocities, v_min, v_max)
+        positions += velocities
+        clamp(positions, lower, upper)
 
-    trace = np.array(history)
+        values = np.asarray(objective(block), dtype=float).reshape(runs, pop)
+        improved = values > best_values
+        np.copyto(best_positions, positions, where=improved[:, :, np.newaxis])
+        np.copyto(best_values, values, where=improved)
+        leader = np.argmax(best_values, axis=1)
+        top = best_values[run, leader]
+        gained = top > history[sweep]
+        history[sweep + 1] = np.where(gained, top, history[sweep])
+        global_best[gained] = best_positions[run[gained], leader[gained]][:, np.newaxis]
+
     return [
-        SwarmResult(seed, global_best[r], float(global_value[r]), sweeps, trace[:, r])
+        SwarmResult(seed, global_best[r, 0], float(history[-1, r]), sweeps, history[:, r])
         for r, seed in enumerate(seeds)
     ]

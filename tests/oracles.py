@@ -13,10 +13,16 @@ The reliability objective is a monotone transform of a linear score, so its
 exact maximum over a box sits at a vertex. ``enumerate_corners`` finds that
 vertex by exhaustive search, independently of the closed form in
 ``reliopt.oracle.corner_optimum``.
+
+``velocity_update`` and ``position_update`` are the swarm's update equations,
+one fresh array per step, and ``reference_maximize`` is the stacked swarm
+built from them: ``reliopt.pso.maximize`` must give the same results, bit for
+bit.
 """
 
 import csv
 from collections import Counter
+from collections.abc import Iterable
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +30,7 @@ import numpy as np
 from reliopt.data import Bounds, Dataset, MissingPolicy
 from reliopt.errors import (
     AllMissingColumnError,
+    DimensionMismatchError,
     InvalidDimensionsError,
     InvalidLabelError,
     MalformedRowError,
@@ -33,8 +40,10 @@ from reliopt.errors import (
 )
 from reliopt.logistic import LogisticModel, _log_likelihood, reliability_rows, sigmoid
 from reliopt.oracle import CornerSolution
+from reliopt.pso import SwarmConfig, SwarmResult
 
 MAX_ENUMERATION_DIMS = 20
+STACK_FLOATS = 2**16  # the reference's own group size: patching reliopt.pso's leaves it
 CHUNK_CORNERS = 2**12  # corners scored per reliability_rows block
 
 
@@ -225,3 +234,121 @@ def reference_load_dataset(
         return Dataset(features=features, labels=np.asarray(labels), feature_names=feature_names)
     except InvalidDimensionsError as exc:
         raise InvalidDimensionsError(f"{path}: {exc}") from None
+
+
+def _as_matching(*vectors) -> list[np.ndarray]:
+    arrays = [np.asarray(v, dtype=float) for v in vectors]
+    shape = arrays[0].shape
+    for a in arrays[1:]:
+        if a.shape != shape:
+            raise DimensionMismatchError(f"shape {a.shape} does not match {shape}")
+    return arrays
+
+
+def velocity_update(
+    v_old,
+    x_old,
+    personal_best,
+    global_best,
+    w: float,
+    c1: float,
+    c2: float,
+    r1,
+    r2,
+    v_max=None,
+):
+    """One velocity step; ``v_max`` (if given) clamps each component to
+    ``[-v_max, v_max]``. Accepts stacked rows as well as single vectors."""
+    v_old, x_old, personal_best, global_best = _as_matching(
+        v_old, x_old, personal_best, global_best
+    )
+    r1 = np.asarray(r1, dtype=float)
+    r2 = np.asarray(r2, dtype=float)
+    v_new = w * v_old + c1 * r1 * (personal_best - x_old) + c2 * r2 * (global_best - x_old)
+    if v_max is not None:
+        v_new = np.clip(v_new, -np.asarray(v_max, dtype=float), v_max)
+    return v_new
+
+
+def position_update(x_old, v_new, bounds: Bounds):
+    """One position step, clamped into the box."""
+    x_old, v_new = _as_matching(x_old, v_new)
+    if x_old.shape[-1] != bounds.n:
+        raise DimensionMismatchError(
+            f"position has {x_old.shape[-1]} dimensions, bounds have {bounds.n}"
+        )
+    return np.clip(x_old + v_new, bounds.lower, bounds.upper)
+
+
+def reference_maximize(
+    objective, bounds: Bounds, config: SwarmConfig, seeds: Iterable[int]
+) -> list[SwarmResult]:
+    """``reliopt.pso.maximize`` as one fresh array per update step, stacked in
+    groups of this module's ``STACK_FLOATS``."""
+    seeds = list(seeds)
+    group = max(1, STACK_FLOATS // (config.population_size * bounds.n))
+    results: list[SwarmResult] = []
+    for start in range(0, len(seeds), group):
+        results += _stacked(objective, bounds, config, seeds[start : start + group])
+    return results
+
+
+def _stacked(objective, bounds: Bounds, config: SwarmConfig, seeds: list[int]) -> list[SwarmResult]:
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    lower, upper = bounds.lower, bounds.upper
+    span = bounds.span
+    v_max = config.velocity_clamp_fraction * span
+    runs, pop, n = len(seeds), config.population_size, bounds.n
+    shape = (runs, pop, n)
+
+    def evaluate(points):
+        return np.array(objective(points.reshape(runs * pop, n)), dtype=float).reshape(runs, pop)
+
+    positions = np.empty(shape)
+    velocities = np.empty(shape)
+    for rng, x, v in zip(rngs, positions, velocities):
+        x[...] = rng.uniform(lower, upper, size=(pop, n))
+        v[...] = rng.uniform(-span, span, size=(pop, n))
+
+    run = np.arange(runs)
+    best_positions = positions.copy()
+    best_values = evaluate(positions)
+    leader = np.argmax(best_values, axis=1)
+    global_best = best_positions[run, leader]
+    global_value = best_values[run, leader]
+    history = [global_value]
+
+    sweeps = config.max_iterations
+    rand = np.empty((runs, pop, 2, 1 if config.scalar_rand else n))
+    for sweep in range(sweeps):
+        w = config.w_start + (config.w_end - config.w_start) * (sweep / max(sweeps - 1, 1))
+        for rng, block in zip(rngs, rand):
+            rng.random(out=block)
+        velocities = velocity_update(
+            velocities,
+            positions,
+            best_positions,
+            np.broadcast_to(global_best[:, np.newaxis], shape),
+            w,
+            config.c1,
+            config.c2,
+            rand[:, :, 0, :],
+            rand[:, :, 1, :],
+            v_max,
+        )
+        positions = position_update(positions, velocities, bounds)
+        values = evaluate(positions)
+        improved = values > best_values
+        best_positions[improved] = positions[improved]
+        best_values[improved] = values[improved]
+        leader = np.argmax(best_values, axis=1)
+        gained = best_values[run, leader] > global_value
+        global_value = np.where(gained, best_values[run, leader], global_value)
+        global_best[gained] = best_positions[run[gained], leader[gained]]
+        history.append(global_value)
+
+    trace = np.array(history)
+    return [
+        SwarmResult(seed, global_best[r], float(global_value[r]), sweeps, trace[:, r])
+        for r, seed in enumerate(seeds)
+    ]

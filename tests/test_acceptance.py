@@ -28,9 +28,9 @@ from reliopt.data import MissingPolicy, generate_synthetic
 from reliopt.logistic import reliability_rows
 from reliopt.oracle import corner_optimum
 from reliopt.pipeline import normalized_distance, optimize_reliability
-from reliopt.pso import maximize, position_update, velocity_update
+from reliopt.pso import maximize
 
-from oracles import gradient, log_likelihood, within
+from oracles import gradient, log_likelihood, position_update, velocity_update, within
 
 # shipped seed lists: frozen so every checkout reproduces the same verdicts
 CORNER_CASE_SEEDS = list(range(100))

@@ -10,9 +10,9 @@ from reliopt.data import Bounds
 from reliopt.errors import DimensionMismatchError
 from reliopt.logistic import LogisticModel, reliability, reliability_rows
 from reliopt.oracle import corner_optimum
-from reliopt.pso import SwarmConfig, maximize, position_update, velocity_update
+from reliopt.pso import SwarmConfig, maximize
 
-from oracles import within
+from oracles import position_update, reference_maximize, velocity_update, within
 
 SIGMA_2 = 0.8807970779778823  # logistic function at +2
 
@@ -296,6 +296,20 @@ class TestStackedRuns:
         maximize(counted, unit_box(3), swarm(6, 4), seeds=range(5))
         assert calls == [(30, 3)] * 5
 
+    def test_objective_gets_one_c_contiguous_float64_block(self, monkeypatch):
+        # user objectives may rely on this layout: (runs*pop, n) rows, C order
+        blocks = []
+
+        def probe(rows):
+            blocks.append((rows.shape, rows.dtype, rows.flags.c_contiguous))
+            return sphere(rows)
+
+        maximize(probe, unit_box(3), swarm(6, 4), seeds=range(5))
+        monkeypatch.setattr(pso, "STACK_FLOATS", 2 * 6 * 3)
+        maximize(probe, unit_box(3), swarm(6, 4, scalar_rand=True), seeds=range(5))
+        shapes = [(30, 3)] * 5 + [(12, 3)] * 10 + [(6, 3)] * 5
+        assert blocks == [(shape, np.float64, True) for shape in shapes]
+
     def test_groups_bound_the_stacked_arrays(self, monkeypatch):
         calls = []
 
@@ -307,6 +321,76 @@ class TestStackedRuns:
         monkeypatch.setattr(pso, "STACK_FLOATS", 2 * 6 * 3)
         maximize(counted, unit_box(3), swarm(6, 4), seeds=range(5))
         assert calls == [(12, 3)] * 10 + [(6, 3)] * 5
+
+
+def same_bits(a, b):
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+def recorded(maximizer, model, bounds, config, seeds):
+    """A maximizer's results and every position it evaluated, as a
+    ``(sweeps + 1, runs * pop, n)`` array in seed order."""
+    blocks = []
+
+    def recording(rows):
+        blocks.append(rows.copy())
+        return reliability_rows(model, rows)
+
+    results = maximizer(recording, bounds, config, seeds)
+    per_group = config.max_iterations + 1
+    groups = [np.stack(blocks[i : i + per_group]) for i in range(0, len(blocks), per_group)]
+    return results, np.concatenate(groups, axis=1)
+
+
+class TestReferenceSweep:
+    """The in-place sweep against the sweep of fresh arrays in tests/oracles.py."""
+
+    @given(
+        n=st.integers(1, 9),
+        pop=st.integers(2, 12),
+        iters=st.integers(1, 12),
+        seeds=st.lists(st.integers(0, 2**32), min_size=1, max_size=6),
+        case=st.integers(0, 2**32 - 1),
+        pinned=st.lists(
+            st.sampled_from([None, 2.5, 0.0, -0.0, (-0.0, 0.0)]), min_size=9, max_size=9
+        ),
+        scalar_rand=st.booleans(),
+        c1=st.sampled_from([0.0, 2.0]) | st.floats(0, 4),
+        c2=st.sampled_from([0.0, 2.0]) | st.floats(0, 4),
+        w_end=st.sampled_from([0.0, 0.4]) | st.floats(0, 0.9),
+        clamp=st.sampled_from([1.0]) | st.floats(1e-3, 1),
+        runs_per_group=st.sampled_from([None, 1, 2, 3]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_maximize_matches_reference_bit_for_bit(
+        self, n, pop, iters, seeds, case, pinned, scalar_rand, c1, c2, w_end, clamp, runs_per_group
+    ):
+        model, bounds = random_problem(case, n)
+        lower, upper = bounds.lower.copy(), bounds.upper.copy()
+        # zero-width dimensions, also at either zero and from -0.0 to 0.0
+        for j, at in enumerate(pinned[:n]):
+            if at is not None:
+                lower[j], upper[j] = at if isinstance(at, tuple) else (at, at)
+        bounds = Bounds(lower, upper)
+        config = swarm(
+            pop, iters, scalar_rand=scalar_rand, c1=c1, c2=c2, w_end=w_end,
+            velocity_clamp_fraction=clamp,
+        )
+        with pytest.MonkeyPatch.context() as patch:
+            if runs_per_group is not None:
+                patch.setattr(pso, "STACK_FLOATS", runs_per_group * pop * n)
+            results, evaluated = recorded(maximize, model, bounds, config, seeds)
+        expected, evaluated_expected = recorded(reference_maximize, model, bounds, config, seeds)
+        # every position evaluated, not only the best: a changed trajectory
+        # often never reaches the global best of so short a run
+        assert same_bits(evaluated, evaluated_expected)
+        assert len(results) == len(expected) == len(seeds)
+        for got, want in zip(results, expected):
+            assert got.seed == want.seed
+            assert same_bits(got.best_position, want.best_position)
+            assert same_bits(got.best_value, want.best_value)
+            assert got.iterations_run == want.iterations_run
+            assert same_bits(got.history, want.history)
 
 
 class TestCornerConvergence:
