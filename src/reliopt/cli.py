@@ -44,7 +44,7 @@ from .pipeline import (
     report_to_json,
     run_pipeline,
 )
-from .pso import SwarmConfig
+from .pso import SwarmConfig, check_box
 
 SEED_ENV_VAR = "RELIOPT_SEED"
 
@@ -283,10 +283,10 @@ def _bounds_from_args(args: argparse.Namespace, settings: dict, model) -> Bounds
     path = Path(args.bounds)
     payload = _read_json(path, "file")
     try:
-        return Bounds(
+        return check_box(Bounds(
             np.asarray(payload["lower"], dtype=float),
             np.asarray(payload["upper"], dtype=float),
-        )
+        ))
     except InvalidDimensionsError as exc:
         raise _UsageError(f"{path}: {exc}") from None
     except (KeyError, TypeError, ValueError, OverflowError):

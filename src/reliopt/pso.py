@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Bounds
+from .errors import InvalidDimensionsError
 from .logistic import freeze_fields
 
 # Largest (runs, pop, n) swarm array one stacked group may hold, in floats.
@@ -92,11 +93,11 @@ def maximize(
     The runs are stacked into one ``(runs, pop, n)`` swarm, in groups of at
     most ``STACK_FLOATS`` floats per array (at least one run each), so every
     sweep makes one update and one objective call per group. Each run keeps
-    its own ``np.random.default_rng(seed)`` and draws in a frozen order:
-    initial positions, then initial velocities, both particle-major; per
-    update sweep one ``(pop, 2, n)`` uniform block, i.e. r1 then r2 for
-    particle 0, then particle 1, and so on. A stacked run is therefore
-    bit-identical to the same seed run alone.
+    its own ``np.random.default_rng(seed)`` and draws in a frozen order: one
+    ``random`` call for the start, initial positions then velocities, both
+    particle-major; per update sweep one ``(pop, 2, n)`` block, i.e. r1 then
+    r2 for particle 0, then particle 1, and so on. A stacked run is
+    therefore bit-identical to the same seed run alone.
 
     A sweep is a fixed set of in-place operations on buffers allocated once
     per group, taken in the order the formula above reads, so every value
@@ -105,17 +106,26 @@ def maximize(
     float64 ``(runs*pop, n)`` block, which the next sweep overwrites: an
     objective that keeps its rows copies them.
 
-    Initial positions are uniform in the box, initial velocities uniform in
-    ``+-(upper - lower)``. Degenerate dimensions (zero width) stay pinned at
-    their bound: their positions, velocities and both difference terms are
-    identically zero throughout. Every evaluated position lies inside the box.
+    Positions start uniform in the box and velocities in ``+-(upper - lower)``,
+    placed as ``Generator.uniform`` places the same draws, after ``check_box``
+    has refused a box too wide for that. Zero-width dimensions, also ``0.0``
+    to ``-0.0``, stay pinned at their bound; every evaluated position is in the box.
     """
+    check_box(bounds)
     seeds = list(seeds)
     group = max(1, STACK_FLOATS // (config.population_size * bounds.n))
     results: list[SwarmResult] = []
     for start in range(0, len(seeds), group):
         results += _stacked(objective, bounds, config, seeds[start : start + group])
     return results
+
+
+def check_box(bounds: Bounds) -> Bounds:
+    """``bounds``, if each doubled width (the velocity range) is finite; halving avoids overflow."""
+    wide = np.flatnonzero(bounds.upper / 2 - bounds.lower / 2 > np.finfo(float).max / 4)
+    if wide.size:
+        raise InvalidDimensionsError(f"dimension {wide[0]} is wider than half the largest float")
+    return bounds
 
 
 def _stacked(objective, bounds: Bounds, config: SwarmConfig, seeds: list[int]) -> list[SwarmResult]:
@@ -127,11 +137,11 @@ def _stacked(objective, bounds: Bounds, config: SwarmConfig, seeds: list[int]) -
     def full(rows):
         return np.broadcast_to(rows, shape).copy()
 
-    positions = np.empty(shape)
-    velocities = np.empty(shape)
-    for rng, x, v in zip(rngs, positions, velocities):
-        x[...] = rng.uniform(bounds.lower, bounds.upper, size=(pop, n))
-        v[...] = rng.uniform(-span, span, size=(pop, n))
+    start = np.empty((runs, 2, pop, n))
+    for rng, draws in zip(rngs, start):
+        rng.random(out=draws)
+    positions = bounds.lower + span * start[:, 0]
+    velocities = 2 * span * start[:, 1] - span
 
     block = positions.reshape(runs * pop, n)
     run = np.arange(runs)

@@ -307,6 +307,8 @@ def _stacked(objective, bounds: Bounds, config: SwarmConfig, seeds: list[int]) -
     positions = np.empty(shape)
     velocities = np.empty(shape)
     for rng, x, v in zip(rngs, positions, velocities):
+        # numpy's own uniform, which the package's one random call per run
+        # must match bit for bit
         x[...] = rng.uniform(lower, upper, size=(pop, n))
         v[...] = rng.uniform(-span, span, size=(pop, n))
 

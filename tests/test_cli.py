@@ -17,6 +17,9 @@ from reliopt.data import save_dataset
 from conftest import duplicated_large_column_dataset, write_csv
 
 
+_TOO_WIDE = "dimension 0 is wider than half the largest float"
+
+
 def run_cli(*argv):
     return main(list(argv))
 
@@ -349,17 +352,43 @@ class TestOptimize:
             (b'{"lower": ["\xe9"]}', "not valid JSON ('utf-8' codec can't decode"),
             (b'{"lower": [1, 0], "upper": [0, 1]}', "lower[0] > upper[0]"),
             (b"[" * 100_000 + b"]" * 100_000, "not valid JSON (maximum recursion depth"),
+            (b'{"lower": [-1e308, 1], "upper": [1e308, 3]}', _TOO_WIDE),
+            (b'{"lower": [-5e307], "upper": [5e307]}', _TOO_WIDE),
         ],
-        ids=["not json", "not utf-8", "lower above upper", "nested too deep"],
+        ids=[
+            "not json", "not utf-8", "lower above upper", "nested too deep",
+            "width overflows", "doubled width overflows",
+        ],
     )
     def test_unreadable_bounds_file_is_usage_error(self, model_json, tmp_path, capsys, body, message):
-        # not-JSON used to exit 1; not-UTF-8 and deep nesting ended in a traceback
+        # not-JSON used to exit 1; not-UTF-8 and deep nesting ended in a
+        # traceback, and so did both boxes too wide for the swarm, in numpy's
+        # uniform (the second at the velocity draw over +-width)
         bounds_path = tmp_path / "bounds.json"
         bounds_path.write_bytes(body)
         capsys.readouterr()
         code = run_cli("optimize", "--model", str(model_json), "--bounds", str(bounds_path))
         assert code == 2
         assert assert_single_error(capsys).startswith(f"error: {bounds_path}: {message}")
+
+    def test_signed_zero_box_runs_at_its_bound(self, tmp_path, capsys):
+        # 0.0 <= -0.0 passes Bounds, but the width -0.0 made numpy's uniform raise
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps({"feature_names": ["a"], "beta": [0.5, 1.0]}))
+        bounds_path = tmp_path / "bounds.json"
+        bounds_path.write_text(json.dumps({"lower": [0.0], "upper": [-0.0]}))
+        capsys.readouterr()
+        code = run_cli(
+            "optimize", "--model", str(model_path), "--bounds", str(bounds_path), "--json",
+            "--pop", "4", "--iters", "3", "--runs", "3", "--prescriptions", "1",
+        )
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == ""
+        report = json.loads(captured.out, parse_constant=refuse_constant)
+        positions = [run["best_position"] for run in report["ensemble"]]
+        positions += [report["corner"]["position"]]
+        positions += [p["position"] for p in report["prescriptions"]]
+        assert positions == [[0.0]] * len(positions)
 
     def test_population_beyond_address_space_exit_1(self, model_json, tmp_path, capsys):
         # 1e15 x 9 floats is 64 PiB, past any address space, so numpy refuses
@@ -438,6 +467,18 @@ class TestPipeline:
         assert run_cli("pipeline", "--config", str(config_path)) == 2
         assert "labels" in capsys.readouterr().err
 
+    def test_ratio_spanning_the_float_range_exit_1(self, tmp_path, capsys):
+        # the fit takes it; the swarm's start ended in numpy's OverflowError
+        path = tmp_path / "wide.csv"
+        path.write_text("a,label\n-1e308,0\n1e308,1\n0,0\n1,1\n-1,0\n2,1\n")
+        capsys.readouterr()
+        code = run_cli(
+            "pipeline", "--data", str(path), "--label", "label",
+            "--pop", "4", "--iters", "2", "--runs", "2",
+        )
+        assert code == 1
+        assert assert_single_error(capsys) == f"error: {_TOO_WIDE}"
+
     def test_single_class_dataset_exit_1(self, tmp_path, capsys):
         path = write_csv(tmp_path / "one.csv", "a,b,label\n1,5,0\n2,6,0\n3,7,0\n")
         assert run_cli("pipeline", "--data", path, "--label", "label") == 1
@@ -447,6 +488,10 @@ class TestPipeline:
 def write_config(path, body):
     path.write_text(json.dumps(body))
     return str(path)
+
+
+def refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
 
 
 def assert_single_error(capsys) -> str:

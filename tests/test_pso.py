@@ -1,13 +1,14 @@
+import operator
 from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from reliopt import pso
 from reliopt.data import Bounds
-from reliopt.errors import DimensionMismatchError
+from reliopt.errors import DimensionMismatchError, InvalidDimensionsError
 from reliopt.logistic import LogisticModel, reliability, reliability_rows
 from reliopt.oracle import corner_optimum
 from reliopt.pso import SwarmConfig, maximize
@@ -15,6 +16,7 @@ from reliopt.pso import SwarmConfig, maximize
 from oracles import position_update, reference_maximize, velocity_update, within
 
 SIGMA_2 = 0.8807970779778823  # logistic function at +2
+HALF_MAX = np.finfo(float).max / 2  # the widest box check_box accepts
 
 
 def unit_box(n):
@@ -198,6 +200,24 @@ class TestMaximize:
         assert len(seen) == 21 and all(rows.shape == (10, 2) for rows in seen)
         assert all((rows[:, 1] == 2.5).all() for rows in seen)
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_signed_zero_box_stays_at_its_bound(self, n):
+        # lower 0.0 and upper -0.0 pass Bounds, but the width is -0.0, which
+        # made numpy's uniform raise "high - low < 0"
+        bounds = Bounds(np.array([0.0, -1.0][:n]), np.array([-0.0, 1.0][:n]))
+        blocks = []
+
+        def recording(rows):
+            blocks.append(rows.copy())
+            return sphere(rows)
+
+        results = maximize(recording, bounds, swarm(5, 4), seeds=range(3))
+        evaluated = np.stack(blocks)
+        assert evaluated.shape == (5, 15, n)
+        assert (evaluated[:, :, 0] == 0.0).all()
+        assert ((evaluated[:, :, 1:] >= -1.0) & (evaluated[:, :, 1:] <= 1.0)).all()
+        assert all(result.best_position[0] == 0.0 for result in results)
+
     def test_every_evaluation_feasible(self):
         bounds = Bounds(np.array([-2.0, 1.0, 0.0]), np.array([-1.0, 4.0, 0.5]))
 
@@ -327,14 +347,14 @@ def same_bits(a, b):
     return np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
 
-def recorded(maximizer, model, bounds, config, seeds):
+def recorded(maximizer, objective, bounds, config, seeds):
     """A maximizer's results and every position it evaluated, as a
     ``(sweeps + 1, runs * pop, n)`` array in seed order."""
     blocks = []
 
     def recording(rows):
         blocks.append(rows.copy())
-        return reliability_rows(model, rows)
+        return objective(rows)
 
     results = maximizer(recording, bounds, config, seeds)
     per_group = config.max_iterations + 1
@@ -372,6 +392,7 @@ class TestReferenceSweep:
             if at is not None:
                 lower[j], upper[j] = at if isinstance(at, tuple) else (at, at)
         bounds = Bounds(lower, upper)
+        objective = partial(reliability_rows, model)
         config = swarm(
             pop, iters, scalar_rand=scalar_rand, c1=c1, c2=c2, w_end=w_end,
             velocity_clamp_fraction=clamp,
@@ -379,8 +400,10 @@ class TestReferenceSweep:
         with pytest.MonkeyPatch.context() as patch:
             if runs_per_group is not None:
                 patch.setattr(pso, "STACK_FLOATS", runs_per_group * pop * n)
-            results, evaluated = recorded(maximize, model, bounds, config, seeds)
-        expected, evaluated_expected = recorded(reference_maximize, model, bounds, config, seeds)
+            results, evaluated = recorded(maximize, objective, bounds, config, seeds)
+        expected, evaluated_expected = recorded(
+            reference_maximize, objective, bounds, config, seeds
+        )
         # every position evaluated, not only the best: a changed trajectory
         # often never reaches the global best of so short a run
         assert same_bits(evaluated, evaluated_expected)
@@ -390,6 +413,55 @@ class TestReferenceSweep:
             assert same_bits(got.best_position, want.best_position)
             assert same_bits(got.best_value, want.best_value)
             assert got.iterations_run == want.iterations_run
+            assert same_bits(got.history, want.history)
+
+    @given(
+        n=st.integers(1, 4),
+        pop=st.integers(2, 6),
+        seeds=st.lists(st.integers(0, 2**32), min_size=1, max_size=3),
+        data=st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_start_matches_numpys_uniform_at_every_scale(self, n, pop, seeds, data):
+        # the reference starts with Generator.uniform; lower bounds and widths
+        # run log-uniformly from the smallest subnormal to the widest box
+        # check_box accepts, with zero widths at either signed zero (a lower
+        # 0.0 over an upper -0.0 makes numpy's uniform raise)
+        magnitude = st.floats(-1074, 1023).map(lambda e: min(2.0**e, HALF_MAX))
+        sign = st.sampled_from([-1.0, 1.0])
+        lower = data.draw(
+            st.lists(
+                st.sampled_from([0.0, -0.0]) | st.builds(operator.mul, sign, magnitude),
+                min_size=n, max_size=n,
+            )
+        )
+        widths = data.draw(
+            st.lists(st.sampled_from([None, 0.0]) | magnitude, min_size=n, max_size=n)
+        )
+        upper = [low if width is None else low + width for low, width in zip(lower, widths)]
+        bounds = Bounds(np.array(lower), np.array(upper))
+        try:
+            pso.check_box(bounds)
+        except InvalidDimensionsError:
+            reject()  # rounding took the width past half the float maximum
+
+        def nearest_the_origin(rows):
+            # exact at every scale, so it never overflows
+            return -np.abs(rows).max(axis=1)
+
+        config = swarm(pop, 1)
+        # at such widths the first sweep's velocity or position may overflow
+        # to +-inf, which the clamps return to the box (an overflow check_box
+        # does not refuse yet); both sweeps take the same steps, so their
+        # bits still compare
+        with np.errstate(over="ignore"):
+            results, evaluated = recorded(maximize, nearest_the_origin, bounds, config, seeds)
+            expected, evaluated_expected = recorded(
+                reference_maximize, nearest_the_origin, bounds, config, seeds
+            )
+        assert same_bits(evaluated, evaluated_expected)
+        for got, want in zip(results, expected):
+            assert same_bits(got.best_position, want.best_position)
             assert same_bits(got.history, want.history)
 
 
