@@ -33,7 +33,7 @@ from .errors import (
     ReliOptError,
     UnknownLabelColumnError,
 )
-from .logistic import fit, load_model, model_to_json, save_model
+from .logistic import Fields, checked_json, fit, load_model, model_to_json, save_model
 from .pipeline import (
     DEFAULT_DISTINCTNESS_RADIUS,
     DEFAULT_N_PRESCRIPTIONS,
@@ -85,58 +85,30 @@ _SETTINGS = (
              "normalized distinctness radius for prescriptions"),
 )
 _SECTIONS = ("swarm", "pipeline")
-_JSON_TYPES = {str: "a string", int: "an integer", float: "a number", bool: "true or false"}
+_CONFIG = Fields({s.name: s.choices or s.type for s in _SETTINGS if s.section is None} | {
+    section: Fields({s.name: s.choices or s.type for s in _SETTINGS if s.section == section})
+    for section in _SECTIONS
+})
+_BOUNDS = Fields({"lower": [float], "upper": [float]}, required=("lower", "upper"))
 
 
 class _UsageError(Exception):
     """Bad arguments or config file; maps to exit code 2."""
 
 
-def _typed(path: Path, setting: _Setting, value):
-    """A config value as the setting's type; JSON ints pass as floats and
-    integral floats as ints, anything else of the wrong type is refused."""
-    if setting.type is float and type(value) is int:
-        value = float(value)
-    elif setting.type is int and type(value) is float and value.is_integer():
-        value = int(value)
-    if type(value) is not setting.type or (setting.choices and value not in setting.choices):
-        expected = " or ".join(map(repr, setting.choices or ())) or _JSON_TYPES[setting.type]
-        raise _UsageError(f"{path}: {setting.name!r} must be {expected}, got {value!r}")
-    return value
-
-
-def _read_json(path: Path, what: str):
-    """A config or bounds file's JSON; text that is not UTF-8 JSON is a usage error."""
+def _read_json(path: Path, kind, name: str):
+    """A config or bounds file's JSON as ``kind``; text that is not UTF-8
+    JSON, or JSON not of that kind, is a usage error."""
     if not path.exists():
-        raise FileNotFoundError(f"no such {what}: {path}")
+        raise FileNotFoundError(f"no such {name} file: {path}")
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        payload = json.loads(path.read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:  # ValueError: syntax, UTF-8, the int digit limit
         raise _UsageError(f"{path}: not valid JSON ({exc})") from None
-
-
-def _read_config(path: Path) -> dict:
-    """The config file's settings by name, type-checked; a null key or
-    section counts as absent."""
-    payload = _read_json(path, "config file")
-    if not isinstance(payload, dict):
-        raise _UsageError(f"{path}: config must be a JSON object")
-    values = {}
-    for section in (None, *_SECTIONS):
-        block = payload if section is None else payload.get(section)
-        if block is None:
-            continue
-        if not isinstance(block, dict):
-            raise _UsageError(f"{path}: {section!r} must be a JSON object")
-        table = {s.name: s for s in _SETTINGS if s.section == section}
-        unknown = set(block) - set(table) - (set(_SECTIONS) if section is None else set())
-        if unknown:
-            what = "config" if section is None else section
-            raise _UsageError(f"{path}: unknown {what} key(s): {', '.join(sorted(unknown))}")
-        for name, value in block.items():
-            if name in table and value is not None:
-                values[name] = _typed(path, table[name], value)
-    return values
+    try:
+        return checked_json(payload, kind, name)
+    except ValueError as exc:
+        raise _UsageError(f"{path}: {exc}") from None
 
 
 def _env_seed() -> int:
@@ -156,7 +128,9 @@ def _settings(args: argparse.Namespace) -> dict:
     settings = {s.name: s.default for s in _SETTINGS}
     if "seed" in vars(args):
         settings["seed"] = _env_seed()
-    config = _read_config(args.config) if vars(args).get("config") else {}
+    config = _read_json(args.config, _CONFIG, "config") if vars(args).get("config") else {}
+    for section in _SECTIONS:  # one flat table of settings by name
+        config.update(config.pop(section, {}))
     settings.update(config)
     for name in settings:
         flag = vars(args).get(name)
@@ -281,16 +255,10 @@ def _bounds_from_args(args: argparse.Namespace, settings: dict, model) -> Bounds
             )
         return compute_bounds(dataset)
     path = Path(args.bounds)
-    payload = _read_json(path, "file")
     try:
-        return check_box(Bounds(
-            np.asarray(payload["lower"], dtype=float),
-            np.asarray(payload["upper"], dtype=float),
-        ))
+        return check_box(Bounds(**_read_json(path, _BOUNDS, "bounds")))
     except InvalidDimensionsError as exc:
         raise _UsageError(f"{path}: {exc}") from None
-    except (KeyError, TypeError, ValueError, OverflowError):
-        raise _UsageError(f"{path}: bounds file needs 'lower' and 'upper' number arrays") from None
 
 
 def cmd_optimize(args: argparse.Namespace) -> int:
@@ -324,8 +292,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
         raise _UsageError("--features and --rows are required")
     if n < 1 or args.rows < 2:
         raise _UsageError("need --features >= 1 and --rows >= 2")
-    if args.lower >= args.upper:
-        raise _UsageError("--lower must be strictly below --upper")
+    if not 0 < args.upper - args.lower < np.inf:
+        raise _UsageError("--lower must be strictly below --upper, a finite distance apart")
     if args.beta is not None:
         try:
             beta = np.asarray([float(v) for v in args.beta.split(",")], dtype=float)

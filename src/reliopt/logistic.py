@@ -9,9 +9,9 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, get_type_hints
 
 import numpy as np
 
@@ -239,33 +239,62 @@ def model_to_json(model: LogisticModel, report: FitReport | None = None) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _is_a(value, kind: str) -> bool:
-    # whether a JSON value has the declared type `kind`; ints in range pass as floats
-    if type(value) is int and kind == "float":
-        return abs(value) <= sys.float_info.max
-    return type(value).__name__ == kind
+@dataclass(frozen=True)
+class Fields:
+    """The kind of a JSON object: each declared field's kind, and the required ones."""
+
+    kinds: dict
+    required: tuple[str, ...] = ()
+
+
+_NOUNS = {str: "a string", int: "an integer", float: "a finite number", bool: "true or false"}
+
+
+def checked_json(value, kind, name: str):
+    """``value``, parsed JSON, as ``kind``: ``str``, ``int``, ``float`` or ``bool``; ``[kind]``,
+    a list; a tuple of allowed values; or ``Fields``, an object, where a null field counts as
+    absent and an undeclared key is refused. An int in the float range passes as a float, an
+    integral float as an int, and every number must be finite. ValueError names the mismatch."""
+    if isinstance(kind, Fields):
+        if type(value) is not dict:
+            raise ValueError(f"{name} must be an object, got {value!r}")
+        if unknown := sorted(value.keys() - kind.kinds.keys()):
+            raise ValueError(f"{name} has unknown key(s): {', '.join(unknown)}")
+        if missing := [key for key in kind.required if value.get(key) is None]:
+            raise ValueError(f"{name} lacks key(s): {', '.join(missing)}")
+        return {key: checked_json(item, kind.kinds[key], f"{name}.{key}")
+                for key, item in value.items() if item is not None}
+    if isinstance(kind, list):
+        if type(value) is not list:
+            raise ValueError(f"{name} must be a list, got {value!r}")
+        return [checked_json(item, kind[0], f"{name}[{i}]") for i, item in enumerate(value)]
+    if isinstance(kind, tuple):
+        if value in kind:
+            return value
+        raise ValueError(f"{name} must be {' or '.join(map(repr, kind))}, got {value!r}")
+    if kind is float and type(value) is int and abs(value) <= sys.float_info.max:
+        value = float(value)
+    elif kind is int and type(value) is float and value.is_integer():
+        value = int(value)
+    if type(value) is not kind or (kind is float and not math.isfinite(value)):
+        raise ValueError(f"{name} must be {_NOUNS[kind]}, got {value!r}")
+    return value
+
+
+_FIT = get_type_hints(FitReport)
+_MODEL = Fields({"feature_names": [str], "beta": [float], "fit": Fields(_FIT, tuple(_FIT))},
+                required=("feature_names", "beta"))
 
 
 def model_from_json(text: str) -> tuple[LogisticModel, FitReport | None]:
-    """Parse ``model_to_json`` output; other JSON is a MalformedModelError."""
-    payload = json.loads(text)
-    if not isinstance(payload, dict):
-        raise MalformedModelError("a model must be a JSON object")
-    names, beta, report = payload.get("feature_names"), payload.get("beta"), payload.get("fit")
-    if not (isinstance(names, list) and all(_is_a(name, "str") for name in names)):
-        raise MalformedModelError("'feature_names' must be a list of strings")
-    if not (isinstance(beta, list) and all(_is_a(b, "float") for b in beta)):
-        raise MalformedModelError("'beta' must be a list of numbers")
-    kinds = {f.name: f.type for f in fields(FitReport)}
-    if report is not None and not (
-        isinstance(report, dict)
-        and report.keys() == kinds.keys()
-        and all(_is_a(report[name], kind) for name, kind in kinds.items())
-    ):
-        expected = ", ".join(f"{name} ({kind})" for name, kind in kinds.items())
-        raise MalformedModelError(f"'fit' must be null or an object with {expected}")
-    model = LogisticModel(beta=np.asarray(beta, dtype=float), feature_names=tuple(names))
-    return model, None if report is None else FitReport(**report)
+    """Parse ``model_to_json`` output; JSON that ``checked_json`` refuses as a model
+    (a string or NaN for a number, a missing or unknown key) is a MalformedModelError."""
+    try:
+        payload = checked_json(json.loads(text), _MODEL, "model")
+    except ValueError as exc:
+        raise MalformedModelError(str(exc)) from None
+    model = LogisticModel(payload["beta"], payload["feature_names"])
+    return model, FitReport(**payload["fit"]) if "fit" in payload else None
 
 
 def save_model(model: LogisticModel, path: str | Path, report: FitReport | None = None) -> None:
@@ -273,6 +302,7 @@ def save_model(model: LogisticModel, path: str | Path, report: FitReport | None 
 
 
 def load_model(path: str | Path) -> tuple[LogisticModel, FitReport | None]:
+    """``model_from_json`` of a file; a MalformedModelError names the file."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"no such file: {path}")

@@ -53,10 +53,12 @@ class TestGen:
 
     @pytest.mark.parametrize(
         "flags",
-        [["--lower", "nan"], ["--upper", "inf"], ["--beta", "1,2"], ["--beta", "1,2,nan"]],
+        [["--lower", "nan"], ["--upper", "inf"], ["--beta", "1,2"], ["--beta", "1,2,nan"],
+         ["--lower=-1e308", "--upper=1e308"]],
     )
     def test_bad_box_or_beta_is_usage_error(self, tmp_path, capsys, flags):
-        # --beta 1,2,nan used to write a dataset with every label 0
+        # --beta 1,2,nan used to write a dataset with every label 0, and a
+        # range wider than the largest float ended in numpy's OverflowError
         out = tmp_path / "g.csv"
         assert run_cli("gen", "--features", "2", "--rows", "5", *flags, "--out", str(out)) == 2
         assert_single_error(capsys)
@@ -295,6 +297,7 @@ class TestOptimize:
             {"lower": ["a"] + [0] * 8, "upper": [1] * 9},
             {"lower": [0] * 9, "upper": "abc"},
             [0, 1],
+            {"lower": ["1", True] + [0] * 7, "upper": ["3e0", 3] + [1] * 7},
         ],
     )
     def test_malformed_bounds_file_is_usage_error(self, model_json, tmp_path, capsys, body):
@@ -324,10 +327,14 @@ class TestOptimize:
             b'{"feature_names": ["a"], "beta": [0, 1e999]}',
             b"{",
             b"[" * 100_000 + b"]" * 100_000,
+            b'{"feature_names": ["a"], "beta": [0, 1], "fit": {"converged": false, '
+            b'"iterations": 3, "final_log_likelihood": NaN, "max_abs_gradient": 0.5, '
+            b'"ridge_used": 0.0}}',
         ],
         ids=[
             "string in beta", "list", "unknown fit key", "string in fit", "not utf-8",
             "missing key", "string of names", "infinite beta", "not json", "nested too deep",
+            "nan in fit",
         ],
     )
     def test_malformed_model_file_exit_1_names_it(self, tmp_path, capsys, body):
@@ -354,10 +361,11 @@ class TestOptimize:
             (b"[" * 100_000 + b"]" * 100_000, "not valid JSON (maximum recursion depth"),
             (b'{"lower": [-1e308, 1], "upper": [1e308, 3]}', _TOO_WIDE),
             (b'{"lower": [-5e307], "upper": [5e307]}', _TOO_WIDE),
+            (b'{"lower": [' + b"1" * 4301 + b"]}", "not valid JSON (Exceeds the limit"),
         ],
         ids=[
             "not json", "not utf-8", "lower above upper", "nested too deep",
-            "width overflows", "doubled width overflows",
+            "width overflows", "doubled width overflows", "integer past the digit limit",
         ],
     )
     def test_unreadable_bounds_file_is_usage_error(self, model_json, tmp_path, capsys, body, message):
@@ -519,6 +527,7 @@ class TestSettings:
             ("swarm", "velocity_clamp_fraction", 0),
             (None, "data", 3),
             (None, "label", 5),
+            pytest.param("swarm", "c1", 10**400, id="swarm-c1-10**400"),
         ],
     )
     def test_bad_config_value_is_usage_error(self, synth_csv, tmp_path, capsys, section, key, value):
@@ -533,6 +542,13 @@ class TestSettings:
         # used to end in a UnicodeDecodeError traceback
         path = tmp_path / "cfg.json"
         path.write_bytes(b'{"label": "\xe9"}')
+        assert run_cli("pipeline", "--data", str(synth_csv), "--config", str(path)) == 2
+        assert assert_single_error(capsys).startswith(f"error: {path}: not valid JSON (")
+
+    def test_integer_past_the_digit_limit_is_usage_error(self, synth_csv, tmp_path, capsys):
+        # json.loads raises a plain ValueError past 4,300 digits: it ended in a traceback
+        path = tmp_path / "cfg.json"
+        path.write_text('{"swarm": {"c1": ' + "1" * 4301 + "}}")
         assert run_cli("pipeline", "--data", str(synth_csv), "--config", str(path)) == 2
         assert assert_single_error(capsys).startswith(f"error: {path}: not valid JSON (")
 
@@ -669,7 +685,7 @@ def test_any_config_body_exits_cleanly(tiny_csv, tmp_path, capsys, body):
     captured = capsys.readouterr()
     assert code in (0, 1, 2)
     if code == 0:
-        json.loads(captured.out)
+        json.loads(captured.out, parse_constant=refuse_constant)
     else:
         assert captured.out == "" and captured.err.startswith("error:")
 
@@ -738,7 +754,7 @@ def test_any_csv_and_flags_exit_cleanly(tmp_path, capsys, case):
     captured = capsys.readouterr()
     assert code in (0, 1, 2)
     if code == 0:
-        json.loads(captured.out)
+        json.loads(captured.out, parse_constant=refuse_constant)
         assert captured.err == ""
     else:
         assert captured.out == ""
@@ -815,7 +831,7 @@ def test_any_model_and_bounds_file_exit_cleanly(tmp_path, capsys, files):
     captured = capsys.readouterr()
     assert code in (0, 1, 2)
     if code == 0:
-        json.loads(captured.out)
+        json.loads(captured.out, parse_constant=refuse_constant)
         assert captured.err == ""
     else:
         assert captured.out == ""

@@ -433,10 +433,12 @@ class TestSerialization:
             {"feature_names": ["a"], "beta": [0, 10**400]},
             {"feature_names": ["a"], "beta": [0, 1], "fit": {}},
             {"feature_names": ["a"], "beta": [0, 1], "fit": FIT | {"extra": 1}},
-            {"feature_names": ["a"], "beta": [0, 1], "fit": FIT | {"iterations": 2.0}},
+            {"feature_names": ["a"], "beta": [0, 1], "fit": FIT | {"iterations": 2.5}},
             {"feature_names": ["a"], "beta": [0, 1], "fit": FIT | {"converged": 1}},
             {"feature_names": ["a"], "beta": [0, 1], "fit": FIT | {"ridge_used": "z"}},
             {"feature_names": ["a"], "beta": [0, 1], "fit": FIT | {"ridge_used": 10**400}},
+            {"feature_names": ["a"], "beta": [0, 1], "fit": FIT | {"max_abs_gradient": math.nan}},
+            {"feature_names": ["a"], "beta": [0, 1], "extra": 1},
         ],
     )
     def test_malformed_payload_is_typed_error(self, payload):
@@ -444,10 +446,12 @@ class TestSerialization:
             model_from_json(json.dumps(payload))
 
     def test_integers_pass_as_floats_unchanged(self):
-        payload = {"feature_names": ["a"], "beta": [0, 2], "fit": FIT | {"ridge_used": 0}}
+        payload = {"feature_names": ["a"], "beta": [0, 2],
+                   "fit": FIT | {"ridge_used": 0, "iterations": 2.0}}
         model, report = model_from_json(json.dumps(payload))
         assert model.beta.tolist() == [0.0, 2.0]
-        assert report.ridge_used == 0 and type(report.ridge_used) is int
+        assert report.ridge_used == 0 and type(report.ridge_used) is float
+        assert report.iterations == 2 and type(report.iterations) is int
         assert model_from_json(json.dumps({"feature_names": ["a"], "beta": [0, 2]}))[1] is None
 
     @pytest.mark.parametrize(
