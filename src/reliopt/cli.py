@@ -42,7 +42,6 @@ from .pipeline import (
     PrescriptionReport,
     optimize_reliability,
     report_to_json,
-    run_pipeline,
 )
 from .pso import SwarmConfig, check_box
 
@@ -222,13 +221,10 @@ def _render_fit_summary(model, report, dataset) -> str:
 
 
 def _emit_report(args: argparse.Namespace, report: PrescriptionReport, out) -> None:
-    rendered = report_to_json(report)
+    rendered = report_to_json(report) if out is not None or args.json else None
     if out is not None:
         Path(out).write_text(rendered, encoding="utf-8")
-    if args.json:
-        sys.stdout.write(rendered)
-    else:
-        sys.stdout.write(render_report_table(report))
+    sys.stdout.write(rendered if args.json else render_report_table(report))
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
@@ -244,6 +240,14 @@ def cmd_fit(args: argparse.Namespace) -> int:
     return 0
 
 
+def _data_box(settings: dict, dataset) -> Bounds:
+    """The box of the CSV's ratios; one too wide to search names the file and the ratio."""
+    try:
+        return check_box(compute_bounds(dataset), dataset.feature_names)
+    except InvalidDimensionsError as exc:
+        raise InvalidDimensionsError(f"{settings['data']}: {exc}") from None
+
+
 def _bounds_from_args(args: argparse.Namespace, settings: dict, model) -> Bounds:
     if args.bounds is None:
         dataset = _load(settings)
@@ -253,7 +257,7 @@ def _bounds_from_args(args: argparse.Namespace, settings: dict, model) -> Bounds
                 f"{settings['data']} has ratios {list(dataset.feature_names)}, but "
                 f"{args.model} was fitted on {list(model.feature_names)}"
             )
-        return compute_bounds(dataset)
+        return _data_box(settings, dataset)
     path = Path(args.bounds)
     try:
         return check_box(Bounds(**_read_json(path, _BOUNDS, "bounds")))
@@ -276,7 +280,10 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 def cmd_pipeline(args: argparse.Namespace) -> int:
     settings = _settings(args)
     pipeline_config = _pipeline_config(settings)
-    report = run_pipeline(_load(settings), pipeline_config)
+    dataset = _load(settings)
+    bounds = _data_box(settings, dataset)
+    model, fit_report = fit(dataset)
+    report = optimize_reliability(model, bounds, pipeline_config, fit_report=fit_report)
     if args.model_out is not None:
         save_model(report.model, Path(args.model_out), report.fit_report)
     _emit_report(args, report, settings["out"])

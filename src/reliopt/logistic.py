@@ -19,6 +19,7 @@ from .errors import (
     DimensionMismatchError,
     MalformedModelError,
     NonFiniteIterateError,
+    ReliOptError,
     SingleClassDatasetError,
     SingularHessianError,
 )
@@ -229,14 +230,18 @@ def fit(dataset: Dataset) -> tuple[LogisticModel, FitReport]:
     return model, report
 
 
-def model_to_json(model: LogisticModel, report: FitReport | None = None) -> str:
-    """Serialize to JSON; coefficient floats keep full round-trip precision."""
-    payload = {
+def model_payload(model: LogisticModel, report: FitReport | None = None) -> dict:
+    """The JSON object of a model file, before it is written."""
+    return {
         "feature_names": list(model.feature_names),
-        "beta": [float(b) for b in model.beta],
+        "beta": model.beta.tolist(),
         "fit": asdict(report) if report is not None else None,
     }
-    return json.dumps(payload, indent=2) + "\n"
+
+
+def model_to_json(model: LogisticModel, report: FitReport | None = None) -> str:
+    """Serialize to JSON; coefficient floats keep full round-trip precision."""
+    return emit_json(model_payload(model, report)) + "\n"
 
 
 @dataclass(frozen=True)
@@ -279,6 +284,62 @@ def checked_json(value, kind, name: str):
     if type(value) is not kind or (kind is float and not math.isfinite(value)):
         raise ValueError(f"{name} must be {_NOUNS[kind]}, got {value!r}")
     return value
+
+
+_escape = json.encoder.encode_basestring_ascii
+
+
+def _finite(value: float) -> str:
+    if not math.isfinite(value):
+        raise ReliOptError(
+            f"{value!r} has no JSON form: reports and model files hold finite numbers only"
+        )
+    return float.__repr__(value)
+
+
+def _float_texts(values: list):
+    # each distinct value is formatted once, unless a zero is among them:
+    # 0.0 == -0.0 as a key, but the two print differently
+    distinct = dict.fromkeys(values)
+    if 0.0 in distinct:
+        return map(_finite, values)
+    if not all(map(math.isfinite, distinct)):
+        _finite(next(value for value in distinct if not math.isfinite(value)))  # raises
+    text = dict(zip(distinct, map(float.__repr__, distinct)))
+    return map(text.__getitem__, values)
+
+
+def emit_json(value, indent: str = "\n") -> str:
+    """What ``json.dumps`` returns with an indent of 2, for dicts with str keys, lists, str,
+    int, bool, None and float; ``indent`` is the newline and padding of ``value``'s own line.
+    A NaN or an infinity is a ReliOptError, since JSON has no such numbers."""
+    if isinstance(value, str):
+        return _escape(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _finite(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [f"{_escape(key)}: {emit_json(item, inner)}" for key, item in value.items()]
+        return "{" + inner + f",{inner}".join(items) + indent + "}"
+    if isinstance(value, list):
+        if not value:
+            return "[]"
+        if {*map(type, value)} == {float}:
+            items = _float_texts(value)
+        else:
+            items = [emit_json(item, inner) for item in value]
+        return "[" + inner + f",{inner}".join(items) + indent + "]"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 _FIT = get_type_hints(FitReport)

@@ -11,15 +11,15 @@ reliability.
 
 from __future__ import annotations
 
-import json
 import math
+import sys
 from dataclasses import dataclass, fields
 from functools import partial
 
 import numpy as np
 
 from .data import Bounds, Dataset, compute_bounds
-from .logistic import FitReport, LogisticModel, fit, model_to_json, reliability_rows
+from .logistic import FitReport, LogisticModel, emit_json, fit, model_payload, reliability_rows
 from .oracle import CornerSolution, corner_optimum
 from .pso import SwarmConfig, SwarmResult, maximize
 
@@ -40,8 +40,8 @@ class PipelineConfig:
     distinctness_radius: float = DEFAULT_DISTINCTNESS_RADIUS
 
     def __post_init__(self) -> None:
-        if self.n_runs < 1:
-            raise ValueError("n_runs must be at least 1")
+        if not 1 <= self.n_runs <= sys.maxsize:  # past it no list of runs can be indexed
+            raise ValueError(f"n_runs must be from 1 to {sys.maxsize}")
         if not (0 <= self.n_prescriptions <= self.n_runs):
             raise ValueError("need 0 <= n_prescriptions <= n_runs")
         if self.base_seed < 0:
@@ -181,7 +181,7 @@ def _record(record, skip: str | None = None) -> dict:
 def report_to_json(report: PrescriptionReport) -> str:
     """Machine-readable report; floats keep full round-trip precision."""
     payload = {
-        "model": json.loads(model_to_json(report.model, report.fit_report)),
+        "model": model_payload(report.model, report.fit_report),
         "bounds": _record(report.bounds),
         "corner": _record(report.corner),
         "ensemble": [_record(run) for run in report.ensemble],
@@ -192,4 +192,4 @@ def report_to_json(report: PrescriptionReport) -> str:
             **_record(report.config, skip="swarm"),
         },
     }
-    return json.dumps(payload, indent=2) + "\n"
+    return emit_json(payload) + "\n"

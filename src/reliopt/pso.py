@@ -13,7 +13,8 @@ whether run alone or stacked with others.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
+import sys
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,10 +51,11 @@ class SwarmConfig:
         weights = (self.c1, self.c2, self.w_start, self.w_end, self.velocity_clamp_fraction)
         if not all(math.isfinite(w) for w in weights):
             raise ValueError("c1, c2, w_start, w_end and velocity_clamp_fraction must be finite")
-        if self.population_size < 2:
-            raise ValueError("population_size must be at least 2")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
+        # past sys.maxsize numpy cannot even index the arrays
+        if not 2 <= self.population_size <= sys.maxsize:
+            raise ValueError(f"population_size must be from 2 to {sys.maxsize}")
+        if not 1 <= self.max_iterations <= sys.maxsize:
+            raise ValueError(f"max_iterations must be from 1 to {sys.maxsize}")
         if self.c1 < 0 or self.c2 < 0:
             raise ValueError("c1 and c2 must be non-negative")
         if not (0 <= self.w_end <= self.w_start):
@@ -110,21 +112,31 @@ def maximize(
     placed as ``Generator.uniform`` places the same draws, after ``check_box``
     has refused a box too wide for that. Zero-width dimensions, also ``0.0``
     to ``-0.0``, stay pinned at their bound; every evaluated position is in the box.
+    A swarm array too big for any address space is a MemoryError before anything
+    is allocated.
     """
     check_box(bounds)
     seeds = list(seeds)
-    group = max(1, STACK_FLOATS // (config.population_size * bounds.n))
+    pop, sweeps = config.population_size, config.max_iterations
+    group = max(1, STACK_FLOATS // (pop * bounds.n))
+    # the largest arrays: two draws per coordinate, and the history; numpy
+    # would refuse one past sys.maxsize bytes with a ValueError
+    floats = min(group, len(seeds)) * max(2 * pop * bounds.n, sweeps + 1)
+    if 8 * floats > sys.maxsize:
+        raise MemoryError(f"a swarm array of {floats} floats is past any address space")
     results: list[SwarmResult] = []
     for start in range(0, len(seeds), group):
         results += _stacked(objective, bounds, config, seeds[start : start + group])
     return results
 
 
-def check_box(bounds: Bounds) -> Bounds:
-    """``bounds``, if each doubled width (the velocity range) is finite; halving avoids overflow."""
+def check_box(bounds: Bounds, names: Sequence[str] | None = None) -> Bounds:
+    """``bounds``, if each doubled width (the velocity range) is finite; halving avoids overflow.
+    A refusal names the dimension by its index or, given ``names``, by its column's name."""
     wide = np.flatnonzero(bounds.upper / 2 - bounds.lower / 2 > np.finfo(float).max / 4)
     if wide.size:
-        raise InvalidDimensionsError(f"dimension {wide[0]} is wider than half the largest float")
+        what = f"dimension {wide[0]}" if names is None else f"column {names[wide[0]]!r}"
+        raise InvalidDimensionsError(f"{what} is wider than half the largest float")
     return bounds
 
 

@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import reliopt
+from reliopt import cli
 from reliopt.cli import main
 from reliopt.data import save_dataset
 
@@ -18,6 +19,8 @@ from conftest import duplicated_large_column_dataset, write_csv
 
 
 _TOO_WIDE = "dimension 0 is wider than half the largest float"
+_WIDE_CSV = "a,label\n-1e308,0\n1e308,1\n0,0\n1,1\n-1,0\n2,1\n"
+_WIDE_A = "column 'a' is wider than half the largest float"
 
 
 def run_cli(*argv):
@@ -414,6 +417,31 @@ class TestOptimize:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: out of memory")
 
+    def test_non_finite_report_is_refused_unwritten(self, tmp_path):
+        # 1e308*x - 1e308*y is inf - inf = nan on the box: the report held 5,052
+        # NaNs, which JSON has no form for. numpy's overflow warnings still reach
+        # stderr, where the in-process suite would raise them, so run a process.
+        model_path, bounds_path = tmp_path / "model.json", tmp_path / "bounds.json"
+        model_path.write_text('{"feature_names": ["a", "b"], "beta": [0, 1e308, -1e308]}')
+        bounds_path.write_text('{"lower": [1, 1], "upper": [3, 3]}')
+        out = tmp_path / "report.json"
+        done = subprocess.run(
+            [sys.executable, "-m", "reliopt", "optimize", "--model", str(model_path),
+             "--bounds", str(bounds_path), "--json", "--out", str(out)],
+            env={"PYTHONPATH": str(Path(reliopt.__file__).resolve().parents[1])},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 1
+        assert done.stdout == ""
+        assert not out.exists()
+        errors = [line for line in done.stderr.splitlines() if line.startswith("error:")]
+        assert errors == [
+            "error: nan has no JSON form: reports and model files hold finite numbers only"
+        ]
+        assert done.stderr.endswith(errors[0] + "\n")
+
     def test_model_bounds_dimension_mismatch_exit_1(self, model_json, tmp_path, capsys):
         bounds_path = tmp_path / "bounds.json"
         bounds_path.write_text(json.dumps({"lower": [0, 0], "upper": [1, 1]}))
@@ -477,15 +505,35 @@ class TestPipeline:
 
     def test_ratio_spanning_the_float_range_exit_1(self, tmp_path, capsys):
         # the fit takes it; the swarm's start ended in numpy's OverflowError
-        path = tmp_path / "wide.csv"
-        path.write_text("a,label\n-1e308,0\n1e308,1\n0,0\n1,1\n-1,0\n2,1\n")
+        path = write_csv(tmp_path / "wide.csv", _WIDE_CSV)
         capsys.readouterr()
         code = run_cli(
-            "pipeline", "--data", str(path), "--label", "label",
+            "pipeline", "--data", path, "--label", "label",
             "--pop", "4", "--iters", "2", "--runs", "2",
         )
         assert code == 1
-        assert assert_single_error(capsys) == f"error: {_TOO_WIDE}"
+        assert assert_single_error(capsys) == f"error: {path}: {_WIDE_A}"
+
+    def test_optimize_data_spanning_the_float_range_exit_1(self, tmp_path, capsys):
+        path = write_csv(tmp_path / "wide.csv", _WIDE_CSV)
+        model_path = tmp_path / "model.json"
+        assert run_cli("fit", "--data", path, "--label", "label", "--out", str(model_path)) == 0
+        capsys.readouterr()
+        code = run_cli(
+            "optimize", "--model", str(model_path), "--data", path, "--label", "label",
+            "--pop", "4", "--iters", "2", "--runs", "2",
+        )
+        assert code == 1
+        assert assert_single_error(capsys) == f"error: {path}: {_WIDE_A}"
+
+    def test_report_json_is_rendered_only_when_written(self, synth_csv, capsys, monkeypatch):
+        def refuse(report):
+            raise AssertionError("report JSON rendered with neither --out nor --json")
+
+        monkeypatch.setattr(cli, "report_to_json", refuse)
+        assert run_cli("pipeline", "--data", str(synth_csv), "--label", "label",
+                       "--pop", "4", "--iters", "2", "--runs", "2") == 0
+        assert "Corner optimum reliability" in capsys.readouterr().out
 
     def test_single_class_dataset_exit_1(self, tmp_path, capsys):
         path = write_csv(tmp_path / "one.csv", "a,b,label\n1,5,0\n2,6,0\n3,7,0\n")
@@ -570,6 +618,27 @@ class TestSettings:
         assert run_cli("pipeline", "--data", str(synth_csv), "--label", "label",
                        *self.FAST, *flags) == 2
         assert_single_error(capsys)
+
+    @pytest.mark.parametrize(
+        "flag, setting",
+        [("--pop", "population_size"), ("--iters", "max_iterations"), ("--runs", "n_runs")],
+    )
+    def test_size_past_numpys_index_range_is_usage_error(self, synth_csv, capsys, flag, setting):
+        # ended in numpy's "Maximum allowed dimension exceeded" or in an
+        # OverflowError from the list of seeds
+        capsys.readouterr()
+        assert run_cli("pipeline", "--data", str(synth_csv), "--label", "label",
+                       *self.FAST, flag, str(10**30)) == 2
+        assert assert_single_error(capsys).startswith(f"error: {setting} must be from ")
+
+    def test_integral_float_size_past_numpys_index_range_is_usage_error(
+        self, synth_csv, tmp_path, capsys
+    ):
+        body = {"data": str(synth_csv), "label": "label",
+                "swarm": {"pop": 1e30, "iters": 1}, "pipeline": {"runs": 2}}
+        capsys.readouterr()
+        assert run_cli("pipeline", "--config", write_config(tmp_path / "cfg.json", body)) == 2
+        assert assert_single_error(capsys).startswith("error: population_size must be from ")
 
     def test_negative_env_seed_is_usage_error(self, synth_csv, capsys, monkeypatch):
         monkeypatch.setenv("RELIOPT_SEED", "-1")

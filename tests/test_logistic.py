@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,11 +13,13 @@ from reliopt.errors import (
     DimensionMismatchError,
     MalformedModelError,
     NonFiniteIterateError,
+    ReliOptError,
     SingleClassDatasetError,
 )
 from reliopt.logistic import (
     FALLBACK_RIDGE,
     LogisticModel,
+    emit_json,
     fit,
     load_model,
     model_from_json,
@@ -462,6 +465,22 @@ class TestSerialization:
         path.write_bytes(body)
         with pytest.raises(MalformedModelError, match=r"m\.json: not a model file \("):
             load_model(path)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "place",
+        [
+            lambda bad: bad,
+            lambda bad: {"a": [1.5, 1.5, bad]},  # a float list, by distinct value
+            lambda bad: [0.0, bad, -0.0],  # a float list holding a zero
+            lambda bad: [[1, bad]],  # a mixed list
+        ],
+        ids=["scalar", "float list", "float list with a zero", "mixed list"],
+    )
+    def test_emitter_refuses_non_finite_floats(self, bad, place):
+        # json.dumps writes NaN, Infinity and -Infinity, which are not JSON
+        with pytest.raises(ReliOptError, match=re.escape(f"{bad!r} has no JSON form")):
+            emit_json(place(bad))
 
     def test_shape_of_payload(self):
         import json

@@ -1,5 +1,6 @@
 import itertools
 import json
+import sys
 from dataclasses import replace
 from functools import partial
 
@@ -10,7 +11,14 @@ from hypothesis import strategies as st
 
 from reliopt import pso
 from reliopt.data import Bounds, Dataset, compute_bounds, generate_synthetic, load_dataset
-from reliopt.logistic import fit, model_from_json, reliability, reliability_rows
+from reliopt.logistic import (
+    emit_json,
+    fit,
+    model_from_json,
+    model_to_json,
+    reliability,
+    reliability_rows,
+)
 from reliopt.oracle import CornerSolution, corner_optimum
 from reliopt.pipeline import (
     PipelineConfig,
@@ -315,6 +323,39 @@ class TestReportJson:
             assert again == entry["best_value"]
 
 
+_FLOAT_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+                -1.7976931348623157e308, 1e16, 0.1, 1 / 3]
+_FLOATS = st.one_of(st.sampled_from(_FLOAT_EDGES), st.floats(allow_nan=False, allow_infinity=False))
+_TEXT = st.one_of(st.text(), st.sampled_from(["", "é", "\u2028", "\U0001f600", '"\\', "\x00\x1f"]))
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), _TEXT, _FLOATS,
+    st.integers(), st.sampled_from([10**300, -(10**300), 2**63]),
+)
+# lists of floats only, which the emitter lays out by distinct value: few
+# distinct values so repeats are common, and both zeros next to each other
+_FLOAT_LISTS = st.lists(_FLOATS, max_size=6).flatmap(
+    lambda pool: st.lists(st.sampled_from(pool) if pool else _FLOATS, max_size=30)
+) | st.lists(st.sampled_from([0.0, -0.0, 1.5]), max_size=8)
+_PAYLOADS = st.recursive(
+    _SCALARS | _FLOAT_LISTS,
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(_TEXT, inner, max_size=5),
+    max_leaves=40,
+)
+
+
+class TestJsonEmitter:
+    @settings(max_examples=300, deadline=None)
+    @given(payload=_PAYLOADS)
+    def test_matches_json_dumps_with_indent(self, payload):
+        assert emit_json(payload) == json.dumps(payload, indent=2)
+
+    def test_reports_and_models_read_back_to_the_same_bytes(self, synthetic):
+        # floats print as repr, which json.loads reads back bit for bit
+        report = run_pipeline(synthetic, pipeline_config(pop=5, iters=4, runs=6))
+        for text in (report_to_json(report), model_to_json(report.model, report.fit_report)):
+            assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+
 class TestConfigValidation:
     def test_rejects_bad_run_counts(self):
         with pytest.raises(ValueError):
@@ -323,6 +364,8 @@ class TestConfigValidation:
             pipeline_config(runs=2, n_prescriptions=3)
         with pytest.raises(ValueError):
             pipeline_config(distinctness_radius=-0.1)
+        with pytest.raises(ValueError, match="n_runs must be from 1 to"):
+            pipeline_config(runs=sys.maxsize + 1)  # ended in an OverflowError
 
     @pytest.mark.parametrize(
         "kw",

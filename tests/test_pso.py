@@ -1,4 +1,5 @@
 import operator
+import sys
 from functools import partial
 
 import numpy as np
@@ -153,6 +154,8 @@ class TestConfigValidation:
             {"w_start": float("inf")},
             {"w_start": float("nan"), "w_end": float("nan")},
             {"velocity_clamp_fraction": float("nan")},
+            {"population_size": sys.maxsize + 1},
+            {"max_iterations": sys.maxsize + 1},
         ],
     )
     def test_rejects_bad_values(self, kw):
@@ -163,6 +166,12 @@ class TestConfigValidation:
 
 
 class TestMaximize:
+    @pytest.mark.parametrize("pop, iters", [(10**18, 1), (4, 10**18), (4, sys.maxsize)])
+    def test_arrays_past_numpys_index_range_are_out_of_memory(self, pop, iters):
+        # numpy refused these with "array is too big", a ValueError
+        with pytest.raises(MemoryError, match="past any address space"):
+            maximize(sphere, unit_box(2), swarm(pop, iters), [0, 1])
+
     def test_sphere_reaches_analytic_maximum(self):
         (result,) = maximize(sphere, unit_box(3), swarm(30, 200), [0])
         assert result.best_value >= -1e-6
