@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import MISSING, fields
 from pathlib import Path
 from typing import NamedTuple
@@ -42,6 +43,7 @@ from .pipeline import (
     PrescriptionReport,
     optimize_reliability,
     report_to_json,
+    run_pipeline,
 )
 from .pso import SwarmConfig, check_box
 
@@ -240,10 +242,11 @@ def cmd_fit(args: argparse.Namespace) -> int:
     return 0
 
 
-def _data_box(settings: dict, dataset) -> Bounds:
-    """The box of the CSV's ratios; one too wide to search names the file and the ratio."""
+@contextmanager
+def _naming_data(settings: dict):
+    """A box of the CSV's ratios too wide to search names the CSV, as other data errors do."""
     try:
-        return check_box(compute_bounds(dataset), dataset.feature_names)
+        yield
     except InvalidDimensionsError as exc:
         raise InvalidDimensionsError(f"{settings['data']}: {exc}") from None
 
@@ -257,7 +260,8 @@ def _bounds_from_args(args: argparse.Namespace, settings: dict, model) -> Bounds
                 f"{settings['data']} has ratios {list(dataset.feature_names)}, but "
                 f"{args.model} was fitted on {list(model.feature_names)}"
             )
-        return _data_box(settings, dataset)
+        with _naming_data(settings):
+            return check_box(compute_bounds(dataset), dataset.feature_names)
     path = Path(args.bounds)
     try:
         return check_box(Bounds(**_read_json(path, _BOUNDS, "bounds")))
@@ -281,9 +285,8 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     settings = _settings(args)
     pipeline_config = _pipeline_config(settings)
     dataset = _load(settings)
-    bounds = _data_box(settings, dataset)
-    model, fit_report = fit(dataset)
-    report = optimize_reliability(model, bounds, pipeline_config, fit_report=fit_report)
+    with _naming_data(settings):
+        report = run_pipeline(dataset, pipeline_config)
     if args.model_out is not None:
         save_model(report.model, Path(args.model_out), report.fit_report)
     _emit_report(args, report, settings["out"])

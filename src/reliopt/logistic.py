@@ -241,7 +241,7 @@ def model_payload(model: LogisticModel, report: FitReport | None = None) -> dict
 
 def model_to_json(model: LogisticModel, report: FitReport | None = None) -> str:
     """Serialize to JSON; coefficient floats keep full round-trip precision."""
-    return emit_json(model_payload(model, report)) + "\n"
+    return _emit_json(model_payload(model, report)) + "\n"
 
 
 @dataclass(frozen=True)
@@ -303,13 +303,11 @@ def _float_texts(values: list):
     distinct = dict.fromkeys(values)
     if 0.0 in distinct:
         return map(_finite, values)
-    if not all(map(math.isfinite, distinct)):
-        _finite(next(value for value in distinct if not math.isfinite(value)))  # raises
-    text = dict(zip(distinct, map(float.__repr__, distinct)))
+    text = dict(zip(distinct, map(_finite, distinct)))
     return map(text.__getitem__, values)
 
 
-def emit_json(value, indent: str = "\n") -> str:
+def _emit_json(value, indent: str = "\n") -> str:
     """What ``json.dumps`` returns with an indent of 2, for dicts with str keys, lists, str,
     int, bool, None and float; ``indent`` is the newline and padding of ``value``'s own line.
     A NaN or an infinity is a ReliOptError, since JSON has no such numbers."""
@@ -329,7 +327,7 @@ def emit_json(value, indent: str = "\n") -> str:
     if isinstance(value, dict):
         if not value:
             return "{}"
-        items = [f"{_escape(key)}: {emit_json(item, inner)}" for key, item in value.items()]
+        items = [f"{_escape(key)}: {_emit_json(item, inner)}" for key, item in value.items()]
         return "{" + inner + f",{inner}".join(items) + indent + "}"
     if isinstance(value, list):
         if not value:
@@ -337,7 +335,7 @@ def emit_json(value, indent: str = "\n") -> str:
         if {*map(type, value)} == {float}:
             items = _float_texts(value)
         else:
-            items = [emit_json(item, inner) for item in value]
+            items = [_emit_json(item, inner) for item in value]
         return "[" + inner + f",{inner}".join(items) + indent + "]"
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 

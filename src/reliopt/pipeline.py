@@ -19,9 +19,9 @@ from functools import partial
 import numpy as np
 
 from .data import Bounds, Dataset, compute_bounds
-from .logistic import FitReport, LogisticModel, emit_json, fit, model_payload, reliability_rows
+from .logistic import FitReport, LogisticModel, _emit_json, fit, model_payload, reliability_rows
 from .oracle import CornerSolution, corner_optimum
-from .pso import SwarmConfig, SwarmResult, maximize
+from .pso import SwarmConfig, SwarmResult, check_box, maximize
 
 DEFAULT_N_RUNS = 25
 DEFAULT_N_PRESCRIPTIONS = 2
@@ -168,7 +168,7 @@ def optimize_reliability(
 def run_pipeline(dataset: Dataset, config: PipelineConfig) -> PrescriptionReport:
     """Both stages: fit on the entire dataset, then prescribe."""
     model, fit_report = fit(dataset)
-    bounds = compute_bounds(dataset)
+    bounds = check_box(compute_bounds(dataset), dataset.feature_names)
     return optimize_reliability(model, bounds, config, fit_report=fit_report)
 
 
@@ -192,4 +192,4 @@ def report_to_json(report: PrescriptionReport) -> str:
             **_record(report.config, skip="swarm"),
         },
     }
-    return emit_json(payload) + "\n"
+    return _emit_json(payload) + "\n"

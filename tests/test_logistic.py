@@ -19,7 +19,7 @@ from reliopt.errors import (
 from reliopt.logistic import (
     FALLBACK_RIDGE,
     LogisticModel,
-    emit_json,
+    _emit_json,
     fit,
     load_model,
     model_from_json,
@@ -480,7 +480,7 @@ class TestSerialization:
     def test_emitter_refuses_non_finite_floats(self, bad, place):
         # json.dumps writes NaN, Infinity and -Infinity, which are not JSON
         with pytest.raises(ReliOptError, match=re.escape(f"{bad!r} has no JSON form")):
-            emit_json(place(bad))
+            _emit_json(place(bad))
 
     def test_shape_of_payload(self):
         import json

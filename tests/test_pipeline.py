@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 
 from reliopt import pso
 from reliopt.data import Bounds, Dataset, compute_bounds, generate_synthetic, load_dataset
+from reliopt.errors import InvalidDimensionsError
 from reliopt.logistic import (
-    emit_json,
+    _emit_json,
     fit,
     model_from_json,
     model_to_json,
@@ -210,6 +211,13 @@ class TestRunPipeline:
         assert first == first and first != second
         assert replace(report, prescriptions=(second, first)) != report
 
+    def test_ratio_too_wide_to_search_is_named(self):
+        # the fit takes it; the swarm's start could not draw from the box
+        wide = Dataset(np.array([[-1e308, 1], [1e308, 2], [0, 3], [1, 4], [-1, 5], [2, 6]]),
+                       np.array([0, 1, 0, 1, 0, 1]), ("a", "b"))
+        with pytest.raises(InvalidDimensionsError, match="^column 'a' is wider than half"):
+            run_pipeline(wide, pipeline_config(pop=4, iters=2, runs=2))
+
 
 class TestFitWarnings:
     def test_separable_fit_warns(self, tmp_path):
@@ -347,7 +355,7 @@ class TestJsonEmitter:
     @settings(max_examples=300, deadline=None)
     @given(payload=_PAYLOADS)
     def test_matches_json_dumps_with_indent(self, payload):
-        assert emit_json(payload) == json.dumps(payload, indent=2)
+        assert _emit_json(payload) == json.dumps(payload, indent=2)
 
     def test_reports_and_models_read_back_to_the_same_bytes(self, synthetic):
         # floats print as repr, which json.loads reads back bit for bit
