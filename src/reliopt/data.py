@@ -10,8 +10,12 @@ from __future__ import annotations
 
 import csv
 import enum
+import io
+import marshal
 import math
+import os
 import struct
+import warnings
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -31,6 +35,9 @@ from .logistic import freeze_fields, sigmoid
 DEFAULT_SEED = 0
 
 _MISSING_TOKENS = {"", "na"}
+
+# A file of at least two blocks is parsed in byte ranges, one per usable CPU.
+BLOCK_BYTES = 1 << 20
 
 
 class MissingPolicy(enum.Enum):
@@ -170,34 +177,34 @@ def _raise_at(path: Path, lineno: int, names: tuple[str, ...], row: list[str]) -
             raise MalformedRowError(f"{path}:{lineno}: non-finite value {cell!r} in column {name!r}")
 
 
-def _read_rows(path: Path, label_column: str):
-    """The feature names, the feature cells (NaN where missing) and the
-    labels of a CSV file."""
-    # utf-8-sig drops the byte order mark that spreadsheet exports put first
-    with open(path, newline="", encoding="utf-8-sig") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = [name.strip() for name in next(reader)]
-        except StopIteration:
-            raise MalformedRowError(f"{path}: file is empty, a header row is required") from None
-        duplicates = [name for name, count in Counter(header).items() if count > 1]
-        if duplicates:
-            raise MalformedRowError(f"{path}: duplicate column names {duplicates}")
-        if label_column not in header:
-            raise UnknownLabelColumnError(f"{path}: no column named {label_column!r}")
-        label_index = header.index(label_column)
-        feature_names = tuple(name for i, name in enumerate(header) if i != label_index)
+def _header(path: Path, reader, label_column: str) -> tuple[int, int, tuple[str, ...]]:
+    """The field count, the label's index and the feature names of a CSV
+    reader's first record."""
+    try:
+        header = [name.strip() for name in next(reader)]
+    except StopIteration:
+        raise MalformedRowError(f"{path}: file is empty, a header row is required") from None
+    duplicates = [name for name, count in Counter(header).items() if count > 1]
+    if duplicates:
+        raise MalformedRowError(f"{path}: duplicate column names {duplicates}")
+    if label_column not in header:
+        raise UnknownLabelColumnError(f"{path}: no column named {label_column!r}")
+    label_index = header.index(label_column)
+    return len(header), label_index, tuple(n for i, n in enumerate(header) if i != label_index)
 
-        cells = bytearray()  # float64 in native byte order, row after row
-        pack = struct.Struct(f"{len(feature_names)}d").pack
-        labels: list[int] = []
-        first_line = reader.line_num + 1  # a quoted field may hold line breaks
+
+def _parse_rows(path: Path, reader, width: int, label_index: int, feature_names: tuple[str, ...]):
+    """The feature cells (float64 in native byte order, NaN where missing)
+    and the labels of the records left in a CSV reader."""
+    cells = bytearray()
+    pack = struct.Struct(f"{len(feature_names)}d").pack
+    labels: list[int] = []
+    first_line = reader.line_num + 1  # a quoted field may hold line breaks
+    try:
         for row in reader:
             lineno, first_line = first_line, reader.line_num + 1
-            if len(row) != len(header):
-                raise MalformedRowError(
-                    f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
-                )
+            if len(row) != width:
+                raise MalformedRowError(f"{path}:{lineno}: expected {width} fields, got {len(row)}")
             text = row.pop(label_index).strip()
             try:
                 label = _number(text)
@@ -225,7 +232,123 @@ def _read_rows(path: Path, label_column: str):
             for j in missing:
                 values[j] = math.nan
             cells += pack(*values)
-    return feature_names, cells, labels
+    except csv.Error as exc:  # such as a field past the csv module's size limit
+        raise MalformedRowError(f"{path}:{first_line}: {exc}") from None
+    return cells, labels
+
+
+def _read_stream(path: Path, label_column: str):
+    """The feature names, cells and labels of a CSV file, read in one pass."""
+    # utf-8-sig drops the byte order mark that spreadsheet exports put first
+    with open(path, newline="", encoding="utf-8-sig") as handle:
+        reader = csv.reader(handle)
+        layout = _header(path, reader, label_column)
+        return (layout[2], *_parse_rows(path, reader, *layout))
+
+
+def _parse_range(path: Path, start: int, end: int, layout):
+    """The cells and labels of the records in bytes ``start:end`` of a file.
+
+    A quote anywhere in the range fails it, since a quoted field may hold a
+    line break that a cut split. Line numbers in its errors count from the
+    range's start; no error of a range is shown, because a failed range
+    sends the whole file to ``_read_stream``.
+    """
+    with open(path, "rb") as handle:
+        handle.seek(start)
+        data = handle.read(end - start)
+    if b'"' in data:
+        raise ValueError("a quoted field")
+    text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")
+    return _parse_rows(path, csv.reader(text), *layout)
+
+
+def _fork_worker(path: Path, start: int, end: int, layout, readers) -> tuple[int, io.FileIO]:
+    """Fork a process that parses one range and writes its marshalled cells
+    and labels to a pipe, or nothing if it fails; return its pid and the
+    pipe's read end. ``readers`` are the read ends of earlier workers' pipes.
+    """
+    read_end, write_end = os.pipe()
+    pipe = open(read_end, "rb", buffering=0)
+    try:
+        with warnings.catch_warnings():
+            # Python 3.12+ warns that forking a process with threads (OpenBLAS
+            # starts its pool at import) may deadlock the child. This child
+            # only parses: it takes no lock held by another thread and ends in
+            # os._exit.
+            warnings.filterwarnings(
+                "ignore", r"This process \(pid=\d+\) is multi-threaded", DeprecationWarning
+            )
+            pid = os.fork()
+    except BaseException:
+        pipe.close()
+        os.close(write_end)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            # a read end left open here would keep a write from failing once
+            # the parent has closed its own, and the write could block for ever
+            for reader in (pipe, *readers):
+                reader.close()
+            payload = marshal.dumps(_parse_range(path, start, end, layout))
+            with open(write_end, "wb") as out:
+                out.write(payload)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_end)
+    return pid, pipe
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _read_blocks(path: Path, label_column: str):
+    """What ``_read_stream`` returns, from one byte range per usable CPU
+    parsed in parallel; None when the file is under two blocks, the
+    platform cannot fork, or any range fails.
+
+    The body is cut at the first line feed past each equal share. The first
+    range is parsed here, each other one in a forked worker.
+    """
+    if not hasattr(os, "fork"):
+        return None
+    size = path.stat().st_size
+    count = min(_usable_cpus(), size // BLOCK_BYTES)
+    if count < 2:
+        return None
+    workers: list[tuple[int, io.FileIO]] = []
+    try:
+        with open(path, "rb") as handle:
+            head = handle.readline()
+            line = head.removesuffix(b"\n")
+            if line == head or b'"' in head or b"\r" in line.removesuffix(b"\r"):
+                return None  # a header line the stream alone reads right
+            cuts = [handle.tell()]
+            for k in range(1, count):
+                handle.seek(max(cuts[-1], cuts[0] + k * (size - cuts[0]) // count))
+                handle.readline()
+                cuts.append(handle.tell())
+        cuts.append(size)
+        layout = _header(path, csv.reader([head.decode("utf-8-sig")]), label_column)
+        for start, end in zip(cuts[1:], cuts[2:]):
+            workers.append(_fork_worker(path, start, end, layout, [p for _, p in workers]))
+        cells, labels = _parse_range(path, cuts[0], cuts[1], layout)
+        for _, pipe in workers:
+            part_cells, part_labels = marshal.loads(pipe.read())
+            cells += part_cells
+            labels += part_labels
+        return layout[2], cells, labels
+    except Exception:
+        return None
+    finally:
+        for pid, pipe in workers:
+            pipe.close()  # a worker still writing then fails and exits
+            os.waitpid(pid, 0)
 
 
 def load_dataset(
@@ -246,7 +369,9 @@ def load_dataset(
         raise FileNotFoundError(f"no such file: {path}")
 
     try:
-        feature_names, cells, labels = _read_rows(path, label_column)
+        feature_names, cells, labels = _read_blocks(path, label_column) or _read_stream(
+            path, label_column
+        )
     except UnicodeDecodeError:
         raise MalformedRowError(f"{path}: not UTF-8 text") from None
 

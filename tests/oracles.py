@@ -174,29 +174,32 @@ def _read_rows(path: Path, label_column: str):
         rows: list[list[float]] = []
         labels: list[int] = []
         first_line = reader.line_num + 1  # a quoted field may hold line breaks
-        for row in reader:
-            lineno, first_line = first_line, reader.line_num + 1
-            if len(row) != len(header):
-                raise MalformedRowError(
-                    f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
+        try:
+            for row in reader:
+                lineno, first_line = first_line, reader.line_num + 1
+                if len(row) != len(header):
+                    raise MalformedRowError(
+                        f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
+                    )
+                label_text = row[label_index].strip()
+                if label_text.lower() in _MISSING_TOKENS:
+                    raise InvalidLabelError(f"{path}:{lineno}: missing label")
+                try:
+                    label_value = float(label_text)
+                except ValueError:
+                    raise InvalidLabelError(f"{path}:{lineno}: invalid label {label_text!r}") from None
+                if label_value not in (0.0, 1.0):
+                    raise InvalidLabelError(f"{path}:{lineno}: label must be 0 or 1, got {label_text!r}")
+                labels.append(int(label_value))
+                rows.append(
+                    [
+                        _parse_cell(cell, header[i], lineno, path)
+                        for i, cell in enumerate(row)
+                        if i != label_index
+                    ]
                 )
-            label_text = row[label_index].strip()
-            if label_text.lower() in _MISSING_TOKENS:
-                raise InvalidLabelError(f"{path}:{lineno}: missing label")
-            try:
-                label_value = float(label_text)
-            except ValueError:
-                raise InvalidLabelError(f"{path}:{lineno}: invalid label {label_text!r}") from None
-            if label_value not in (0.0, 1.0):
-                raise InvalidLabelError(f"{path}:{lineno}: label must be 0 or 1, got {label_text!r}")
-            labels.append(int(label_value))
-            rows.append(
-                [
-                    _parse_cell(cell, header[i], lineno, path)
-                    for i, cell in enumerate(row)
-                    if i != label_index
-                ]
-            )
+        except csv.Error as exc:  # such as a field past the csv module's size limit
+            raise MalformedRowError(f"{path}:{first_line}: {exc}") from None
     return feature_names, rows, labels
 
 

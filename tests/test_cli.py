@@ -191,6 +191,13 @@ class TestFit:
         captured = capsys.readouterr()
         assert captured.out == "" and "duplicate column names ['a']" in captured.err
 
+    def test_oversized_field_exit_1_names_the_line(self, tmp_path, capsys):
+        # used to end in a traceback: _csv.Error: field larger than field limit (131072)
+        path = write_csv(tmp_path / "big.csv", "a,label\n" + "1" * 200_000 + ",1\n2,0\n")
+        assert run_cli("fit", "--data", path, "--label", "label") == 1
+        message = "field larger than field limit (131072)"
+        assert assert_single_error(capsys) == f"error: {path}:2: {message}"
+
 
 class TestOptimize:
     @pytest.fixture()

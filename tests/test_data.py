@@ -1,5 +1,10 @@
+import os
+import signal
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from reliopt import data
 from reliopt.data import (
     DEFAULT_SEED,
     Bounds,
@@ -37,6 +43,49 @@ from oracles import reference_load_dataset
 # imputed in the parsed float64 buffer, 3.4 when imputation copied it, 6.5
 # when rows were kept as lists of Python floats
 PEAK_ALLOC_BOUND = 3.0
+
+
+def _force_blocks(monkeypatch, path, ranges: int = 2) -> None:
+    """Make a load cut ``path`` into ``ranges`` byte ranges, or into one per
+    usable CPU where there are fewer."""
+    monkeypatch.setattr(data, "BLOCK_BYTES", max(1, Path(path).stat().st_size // ranges))
+
+
+def _blocks_can_run() -> bool:
+    return hasattr(os, "fork") and data._usable_cpus() > 1
+
+
+def _assert_no_child_left() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def streamed(monkeypatch) -> list:
+    """The paths read by the one-pass reader, which the block path falls back to."""
+    read_stream, paths = data._read_stream, []
+
+    def recording(path, label_column):
+        paths.append(path)
+        return read_stream(path, label_column)
+
+    monkeypatch.setattr(data, "_read_stream", recording)
+    return paths
+
+
+@pytest.fixture
+def forked(monkeypatch) -> list:
+    """The pids of the processes forked."""
+    fork, pids = os.fork, []
+
+    def recording():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording)
+    return pids
 
 
 class TestLoadDataset:
@@ -160,6 +209,13 @@ class TestLoadDataset:
         ):
             load_dataset(path, "label")
 
+    def test_oversized_field_is_typed_error_naming_the_line(self, tmp_path):
+        # used to escape as _csv.Error: field larger than field limit (131072)
+        path = write_csv(tmp_path / "big.csv", "a,label\n" + "1" * 200_000 + ",1\n2,0\n")
+        with pytest.raises(MalformedRowError) as caught:
+            load_dataset(path, "label")
+        assert str(caught.value) == f"{path}:2: field larger than field limit (131072)"
+
     def test_error_names_the_file_line_after_a_quoted_line_break(self, tmp_path):
         # the second record spans lines 2-3, so abc is on line 4; used to say :3:
         path = write_csv(tmp_path / "ml.csv", 'a,label\n"2\n",1\nabc,0\n')
@@ -175,8 +231,10 @@ class TestLoadDataset:
         assert np.isfinite(ds.features[2, 0])
         assert capfd.readouterr().err == ""
 
-    def test_peak_allocation_of_a_load(self, tmp_path):
-        # rows once stayed Python floats until one copy into the matrix: ~6x
+    @pytest.mark.parametrize("blocks", [False, True], ids=["stream", "blocks"])
+    def test_peak_allocation_of_a_load(self, tmp_path, monkeypatch, streamed, blocks):
+        # rows once stayed Python floats until one copy into the matrix: ~6x;
+        # tracemalloc sees only this process, not the block path's workers
         rng = np.random.default_rng(3)
         cells = np.char.mod("%.6g", rng.normal(size=(2_000, 50))).astype(object)
         cells[rng.random(cells.shape) < 0.01] = "NA"
@@ -184,6 +242,8 @@ class TestLoadDataset:
         lines = [",".join(row) for row in np.hstack([cells, labels]).tolist()]
         header = ",".join(f"r{j}" for j in range(50)) + ",label\n"
         path = write_csv(tmp_path / "d.csv", header + "\n".join(lines) + "\n")
+        if blocks:
+            _force_blocks(monkeypatch, path)
         tracemalloc.start()
         try:
             ds = load_dataset(path, "label")
@@ -191,6 +251,7 @@ class TestLoadDataset:
         finally:
             tracemalloc.stop()
         assert peak < PEAK_ALLOC_BOUND * ds.features.nbytes
+        assert bool(streamed) == (not blocks or not _blocks_can_run())
 
     def test_byte_order_mark_skipped(self, tmp_path):
         # spreadsheet exports start UTF-8 files with a BOM; the label came first
@@ -263,7 +324,7 @@ def csv_bodies(draw):
     names = draw(st.lists(name, min_size=1, max_size=4, unique=True))
     at = draw(st.integers(0, len(names)))
     table = [names[:at] + [draw(st.sampled_from(["label", " label "]))] + names[at:]]
-    for _ in range(draw(st.integers(1, 8))):
+    for _ in range(draw(st.integers(1, 24))):
         row = [draw(_FEATURE_CELLS) for _ in names]
         table.append(row[:at] + [draw(_LABEL_CELLS)] + row[at:])
     faults = draw(st.lists(st.sampled_from(_FAULTS), max_size=2))
@@ -294,14 +355,124 @@ def _outcome(read, path, policy):
     )
 
 
+@pytest.mark.parametrize("blocks", [False, True], ids=["stream", "blocks"])
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(body=csv_bodies())
-def test_reader_matches_the_reference(tmp_path, body):
+def test_reader_matches_the_reference(tmp_path, monkeypatch, streamed, blocks, body):
     path = tmp_path / "d.csv"
     path.write_text(body, encoding="utf-8", newline="")
+    if blocks:
+        _force_blocks(monkeypatch, path, ranges=4)
+    # ranges end at line feeds, so a quote-free table that loads needs no fallback
+    whole = blocks and _blocks_can_run() and '"' not in body and "\n" in body
     for policy in MissingPolicy:
         expected = _outcome(reference_load_dataset, path, policy)
+        streamed.clear()
         assert _outcome(load_dataset, path, policy) == expected
+        if whole and not isinstance(expected[0], type):
+            assert not streamed
+
+
+def _table_lines(rows: int = 300) -> list[str]:
+    rng = np.random.default_rng(5)
+    cells = rng.normal(size=(rows, 2)).tolist()
+    labels = rng.integers(0, 2, rows).tolist()
+    return ["a,b,label"] + [f"{x:.6g},{y:.6g},{k}" for (x, y), k in zip(cells, labels)]
+
+
+class TestBlockReader:
+    """A file of two blocks or more is read in byte ranges, one per usable
+    CPU, by this process and forked workers; any failure hands the whole file
+    to the one-pass reader."""
+
+    def _outcomes(self, tmp_path, monkeypatch, content: bytes):
+        path = tmp_path / "d.csv"
+        path.write_bytes(content)
+        one_pass = _outcome(load_dataset, path, MissingPolicy.MEAN_IMPUTE)  # under two blocks
+        _force_blocks(monkeypatch, path)
+        return path, one_pass, _outcome(load_dataset, path, MissingPolicy.MEAN_IMPUTE)
+
+    def test_a_clean_table_is_read_in_blocks(self, tmp_path, monkeypatch, streamed, forked):
+        content = ("\n".join(_table_lines()) + "\n").encode()
+        path, one_pass, blocks = self._outcomes(tmp_path, monkeypatch, content)
+        assert blocks == one_pass and blocks[2] == (300, 2)
+        assert streamed == [path]  # the first load, of a file under two blocks
+        assert len(forked) == (1 if _blocks_can_run() else 0)
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize(
+        "row,text,message",
+        [
+            (300, "abc,0.5,1", ":301: non-numeric value 'abc' in column 'a'"),
+            # the quoted cell spans lines 252 and 253
+            (251, '"2\n",0.5,1\nabc,0.5,1', ":254: non-numeric value 'abc' in column 'a'"),
+            (300, "\udcff,0.5,1", ": not UTF-8 text"),
+        ],
+        ids=[
+            "bad cell in the last range",
+            "quote in a later range",
+            "invalid UTF-8 in the last range",
+        ],
+    )
+    def test_fallback_raises_the_one_pass_error(
+        self, tmp_path, monkeypatch, streamed, forked, row, text, message
+    ):
+        lines = _table_lines()
+        lines[row] = text
+        content = ("\n".join(lines) + "\n").encode("utf-8", "surrogateescape")
+        path, one_pass, blocks = self._outcomes(tmp_path, monkeypatch, content)
+        assert blocks == one_pass == (MalformedRowError, f"{path}{message}")
+        assert streamed == [path] * (1 + _blocks_can_run())
+        assert len(forked) <= data._usable_cpus() - 1
+        _assert_no_child_left()
+
+    def test_a_failed_range_leaves_no_worker_blocked_on_its_pipe(self, tmp_path):
+        # a worker once kept its own pipe's read end open: after the first
+        # range failed, its write of more than the pipe holds blocked for
+        # ever, and so did the load, waiting for it
+        lines = _table_lines(20_000)
+        lines[1] = "abc,0.5,1"
+        path = write_csv(tmp_path / "d.csv", "\n".join(lines) + "\n")
+        code = (
+            "import os, sys\n"
+            "from reliopt import data\n"
+            "data.BLOCK_BYTES = os.path.getsize(sys.argv[1]) // 2\n"
+            "try:\n"
+            "    data.load_dataset(sys.argv[1], 'label')\n"
+            "except data.MalformedRowError as exc:\n"
+            "    print(exc)\n"
+        )
+        src = str(Path(data.__file__).resolve().parents[1])
+        child = subprocess.Popen(
+            [sys.executable, "-c", code, path],
+            env={"PYTHONPATH": src},
+            stdout=subprocess.PIPE,
+            text=True,
+            start_new_session=True,
+        )
+        try:
+            out, _ = child.communicate(timeout=60)
+        finally:
+            if child.poll() is None:  # the load hung: end it and its workers
+                os.killpg(child.pid, signal.SIGKILL)
+                child.wait()
+        assert out == f"{path}:2: non-numeric value 'abc' in column 'a'\n"
+
+    def test_interrupt_reaps_the_workers(self, tmp_path, monkeypatch, forked):
+        path = write_csv(tmp_path / "d.csv", "\n".join(_table_lines()) + "\n")
+        _force_blocks(monkeypatch, path)
+        parse_range, parent = data._parse_range, os.getpid()
+
+        def interrupted(*args):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            return parse_range(*args)
+
+        monkeypatch.setattr(data, "_parse_range", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            load_dataset(path, "label")
+        assert len(forked) == (1 if _blocks_can_run() else 0)
+        _assert_no_child_left()
 
 
 class TestDatasetInvariants:
