@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import csv
 import enum
-import io
-import marshal
 import math
 import os
 import struct
 import warnings
 from collections import Counter
+from contextlib import suppress
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -246,30 +245,43 @@ def _read_stream(path: Path, label_column: str):
         return (layout[2], *_parse_rows(path, reader, *layout))
 
 
+def _range_lines(handle, start: int, end: int):
+    """The lines of an open binary file from ``start`` up to ``end``, both
+    line ends, decoded as UTF-8: the lines the one-pass reader's text stream
+    gives, or a ValueError.
+
+    A quote fails the range, since a quoted field may hold a line break
+    that a cut split, and so does a carriage return other than one before
+    the line feed or at the end of the file, which that stream splits at.
+    """
+    handle.seek(start)
+    for line in handle:
+        if start >= end:
+            return
+        if b'"' in line or b"\r" in line.removesuffix(b"\n").removesuffix(b"\r"):
+            raise ValueError("a line the one-pass reader alone reads right")
+        start += len(line)
+        yield line.decode()
+
+
 def _parse_range(path: Path, start: int, end: int, layout):
     """The cells and labels of the records in bytes ``start:end`` of a file.
 
-    A quote anywhere in the range fails it, since a quoted field may hold a
-    line break that a cut split. Line numbers in its errors count from the
-    range's start; no error of a range is shown, because a failed range
-    sends the whole file to ``_read_stream``.
+    Line numbers in its errors count from the range's start; no error of a
+    range is shown, because a failed range sends the whole file to
+    ``_read_stream``.
     """
     with open(path, "rb") as handle:
-        handle.seek(start)
-        data = handle.read(end - start)
-    if b'"' in data:
-        raise ValueError("a quoted field")
-    text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")
-    return _parse_rows(path, csv.reader(text), *layout)
+        return _parse_rows(path, csv.reader(_range_lines(handle, start, end)), *layout)
 
 
-def _fork_worker(path: Path, start: int, end: int, layout, readers) -> tuple[int, io.FileIO]:
-    """Fork a process that parses one range and writes its marshalled cells
-    and labels to a pipe, or nothing if it fails; return its pid and the
-    pipe's read end. ``readers`` are the read ends of earlier workers' pipes.
+def _fork_worker(path: Path, start: int, end: int, layout, readers):
+    """Fork a process that parses one range and writes its row count, cells
+    and labels (one byte each) to a pipe, or nothing if it fails; return its
+    pid and the pipe's read end. ``readers`` are earlier workers' read ends.
     """
     read_end, write_end = os.pipe()
-    pipe = open(read_end, "rb", buffering=0)
+    pipe = open(read_end, "rb")
     try:
         with warnings.catch_warnings():
             # Python 3.12+ warns that forking a process with threads (OpenBLAS
@@ -285,18 +297,18 @@ def _fork_worker(path: Path, start: int, end: int, layout, readers) -> tuple[int
         os.close(write_end)
         raise
     if pid == 0:
-        status = 1
         try:
             # a read end left open here would keep a write from failing once
             # the parent has closed its own, and the write could block for ever
             for reader in (pipe, *readers):
                 reader.close()
-            payload = marshal.dumps(_parse_range(path, start, end, layout))
+            cells, labels = _parse_range(path, start, end, layout)
             with open(write_end, "wb") as out:
-                out.write(payload)
-            status = 0
+                out.write(struct.pack("q", len(labels)))
+                out.write(cells)
+                out.write(bytes(labels))
         finally:
-            os._exit(status)
+            os._exit(0)
     os.close(write_end)
     return pid, pipe
 
@@ -313,7 +325,8 @@ def _read_blocks(path: Path, label_column: str):
     platform cannot fork, or any range fails.
 
     The body is cut at the first line feed past each equal share. The first
-    range is parsed here, each other one in a forked worker.
+    range is parsed here, each other one in a forked worker whose cells are
+    appended to this process's as they arrive.
     """
     if not hasattr(os, "fork"):
         return None
@@ -321,7 +334,8 @@ def _read_blocks(path: Path, label_column: str):
     count = min(_usable_cpus(), size // BLOCK_BYTES)
     if count < 2:
         return None
-    workers: list[tuple[int, io.FileIO]] = []
+    workers: list = []
+    result = None
     try:
         with open(path, "rb") as handle:
             head = handle.readline()
@@ -339,16 +353,28 @@ def _read_blocks(path: Path, label_column: str):
             workers.append(_fork_worker(path, start, end, layout, [p for _, p in workers]))
         cells, labels = _parse_range(path, cuts[0], cuts[1], layout)
         for _, pipe in workers:
-            part_cells, part_labels = marshal.loads(pipe.read())
-            cells += part_cells
-            labels += part_labels
-        return layout[2], cells, labels
+            (rows,) = struct.unpack("q", pipe.read(8))
+            end = len(cells) + rows * 8 * len(layout[2])
+            while chunk := pipe.read(1 << 16):
+                cells += chunk
+            if len(cells) != end + rows:
+                raise ValueError("a worker's output was cut short")
+            labels += cells[end:]
+            del cells[end:]
+        result = layout[2], cells, labels
     except Exception:
-        return None
+        pass  # the one-pass reader reads the whole file
     finally:
         for pid, pipe in workers:
-            pipe.close()  # a worker still writing then fails and exits
-            os.waitpid(pid, 0)
+            pipe.close()
+            if result is None:  # a worker still parsing stops at once
+                from signal import SIGKILL  # here, since the module takes 0.15 MiB
+
+                with suppress(ProcessLookupError):
+                    os.kill(pid, SIGKILL)
+            with suppress(ChildProcessError):  # gone already where SIGCHLD is ignored
+                os.waitpid(pid, 0)
+    return result
 
 
 def load_dataset(

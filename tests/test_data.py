@@ -2,6 +2,7 @@ import os
 import signal
 import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -407,11 +408,14 @@ class TestBlockReader:
             # the quoted cell spans lines 252 and 253
             (251, '"2\n",0.5,1\nabc,0.5,1', ":254: non-numeric value 'abc' in column 'a'"),
             (300, "\udcff,0.5,1", ": not UTF-8 text"),
+            # a line end of its own to the one-pass reader, so line 302 is empty
+            (300, "0.5,0.5,1\r\r", ":302: expected 3 fields, got 0"),
         ],
         ids=[
             "bad cell in the last range",
             "quote in a later range",
             "invalid UTF-8 in the last range",
+            "carriage return in the last range",
         ],
     )
     def test_fallback_raises_the_one_pass_error(
@@ -471,6 +475,62 @@ class TestBlockReader:
         monkeypatch.setattr(data, "_parse_range", interrupted)
         with pytest.raises(KeyboardInterrupt):
             load_dataset(path, "label")
+        assert len(forked) == (1 if _blocks_can_run() else 0)
+        _assert_no_child_left()
+
+    def test_a_failed_first_range_stops_the_workers(self, tmp_path, monkeypatch, forked):
+        # a worker left to finish its range would hold the load for 20 s
+        lines = _table_lines()
+        lines[1] = "abc,0.5,1"
+        path = write_csv(tmp_path / "d.csv", "\n".join(lines) + "\n")
+        _force_blocks(monkeypatch, path)
+        parse_range, parent = data._parse_range, os.getpid()
+
+        def slow_in_workers(*args):
+            if os.getpid() != parent:
+                time.sleep(20)
+            return parse_range(*args)
+
+        monkeypatch.setattr(data, "_parse_range", slow_in_workers)
+        start = time.perf_counter()
+        with pytest.raises(MalformedRowError, match=r"d\.csv:2: non-numeric value 'abc'"):
+            load_dataset(path, "label")
+        assert time.perf_counter() - start < 10
+        assert len(forked) == (1 if _blocks_can_run() else 0)
+        _assert_no_child_left()
+
+    def test_a_worker_output_cut_short_falls_back(self, tmp_path, monkeypatch, streamed, forked):
+        # a label that is no byte stops the worker after its count and cells,
+        # as a kill in the middle of its write would
+        path = write_csv(tmp_path / "d.csv", "\n".join(_table_lines()) + "\n")
+        _force_blocks(monkeypatch, path)
+        parse_range, parent = data._parse_range, os.getpid()
+
+        def cut_short_in_workers(*args):
+            cells, labels = parse_range(*args)
+            return cells, labels + [256] if os.getpid() != parent else labels
+
+        monkeypatch.setattr(data, "_parse_range", cut_short_in_workers)
+        ds = load_dataset(path, "label")
+        assert ds.features.shape == (300, 2)
+        assert streamed == [Path(path)]
+        assert len(forked) == (1 if _blocks_can_run() else 0)
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("bad_row", [None, 300], ids=["clean", "bad cell in the last range"])
+    def test_ignored_sigchld(self, tmp_path, monkeypatch, streamed, forked, bad_row):
+        # the kernel then reaps the workers itself, and waitpid finds none
+        lines = _table_lines()
+        if bad_row:
+            lines[bad_row] = "abc,0.5,1"
+        content = ("\n".join(lines) + "\n").encode()
+        previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+        try:
+            path, one_pass, blocks = self._outcomes(tmp_path, monkeypatch, content)
+        finally:
+            signal.signal(signal.SIGCHLD, previous)
+        assert blocks == one_pass
+        assert streamed == [path] * (1 + (bad_row is not None and _blocks_can_run()))
         assert len(forked) == (1 if _blocks_can_run() else 0)
         _assert_no_child_left()
 
