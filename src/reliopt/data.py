@@ -13,9 +13,7 @@ import enum
 import math
 import os
 import struct
-import warnings
 from collections import Counter
-from contextlib import suppress
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -35,7 +33,8 @@ DEFAULT_SEED = 0
 
 _MISSING_TOKENS = {"", "na"}
 
-# A file of at least two blocks is parsed in byte ranges, one per usable CPU.
+# A file of at least two blocks is parsed in byte ranges, one per usable CPU
+# (see blocks.py).
 BLOCK_BYTES = 1 << 20
 
 
@@ -245,136 +244,17 @@ def _read_stream(path: Path, label_column: str):
         return (layout[2], *_parse_rows(path, reader, *layout))
 
 
-def _range_lines(handle, start: int, end: int):
-    """The lines of an open binary file from ``start`` up to ``end``, both
-    line ends, decoded as UTF-8: the lines the one-pass reader's text stream
-    gives, or a ValueError.
+def _read_rows(path: Path, label_column: str):
+    """The feature names, the feature cells (NaN where missing) and the
+    labels of a CSV file: from the block reader where the file is large
+    enough and the platform can fork, else, or when it fails, in one pass."""
+    if hasattr(os, "fork") and path.stat().st_size >= 2 * BLOCK_BYTES:
+        from .blocks import read_blocks  # compiled only where a file is this large
 
-    A quote fails the range, since a quoted field may hold a line break
-    that a cut split, and so does a carriage return other than one before
-    the line feed or at the end of the file, which that stream splits at.
-    """
-    handle.seek(start)
-    for line in handle:
-        if start >= end:
-            return
-        if b'"' in line or b"\r" in line.removesuffix(b"\n").removesuffix(b"\r"):
-            raise ValueError("a line the one-pass reader alone reads right")
-        start += len(line)
-        yield line.decode()
-
-
-def _parse_range(path: Path, start: int, end: int, layout):
-    """The cells and labels of the records in bytes ``start:end`` of a file.
-
-    Line numbers in its errors count from the range's start; no error of a
-    range is shown, because a failed range sends the whole file to
-    ``_read_stream``.
-    """
-    with open(path, "rb") as handle:
-        return _parse_rows(path, csv.reader(_range_lines(handle, start, end)), *layout)
-
-
-def _fork_worker(path: Path, start: int, end: int, layout, readers):
-    """Fork a process that parses one range and writes its row count, cells
-    and labels (one byte each) to a pipe, or nothing if it fails; return its
-    pid and the pipe's read end. ``readers`` are earlier workers' read ends.
-    """
-    read_end, write_end = os.pipe()
-    pipe = open(read_end, "rb")
-    try:
-        with warnings.catch_warnings():
-            # Python 3.12+ warns that forking a process with threads (OpenBLAS
-            # starts its pool at import) may deadlock the child. This child
-            # only parses: it takes no lock held by another thread and ends in
-            # os._exit.
-            warnings.filterwarnings(
-                "ignore", r"This process \(pid=\d+\) is multi-threaded", DeprecationWarning
-            )
-            pid = os.fork()
-    except BaseException:
-        pipe.close()
-        os.close(write_end)
-        raise
-    if pid == 0:
-        try:
-            # a read end left open here would keep a write from failing once
-            # the parent has closed its own, and the write could block for ever
-            for reader in (pipe, *readers):
-                reader.close()
-            cells, labels = _parse_range(path, start, end, layout)
-            with open(write_end, "wb") as out:
-                out.write(struct.pack("q", len(labels)))
-                out.write(cells)
-                out.write(bytes(labels))
-        finally:
-            os._exit(0)
-    os.close(write_end)
-    return pid, pipe
-
-
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _read_blocks(path: Path, label_column: str):
-    """What ``_read_stream`` returns, from one byte range per usable CPU
-    parsed in parallel; None when the file is under two blocks, the
-    platform cannot fork, or any range fails.
-
-    The body is cut at the first line feed past each equal share. The first
-    range is parsed here, each other one in a forked worker whose cells are
-    appended to this process's as they arrive.
-    """
-    if not hasattr(os, "fork"):
-        return None
-    size = path.stat().st_size
-    count = min(_usable_cpus(), size // BLOCK_BYTES)
-    if count < 2:
-        return None
-    workers: list = []
-    result = None
-    try:
-        with open(path, "rb") as handle:
-            head = handle.readline()
-            line = head.removesuffix(b"\n")
-            if line == head or b'"' in head or b"\r" in line.removesuffix(b"\r"):
-                return None  # a header line the stream alone reads right
-            cuts = [handle.tell()]
-            for k in range(1, count):
-                handle.seek(max(cuts[-1], cuts[0] + k * (size - cuts[0]) // count))
-                handle.readline()
-                cuts.append(handle.tell())
-        cuts.append(size)
-        layout = _header(path, csv.reader([head.decode("utf-8-sig")]), label_column)
-        for start, end in zip(cuts[1:], cuts[2:]):
-            workers.append(_fork_worker(path, start, end, layout, [p for _, p in workers]))
-        cells, labels = _parse_range(path, cuts[0], cuts[1], layout)
-        for _, pipe in workers:
-            (rows,) = struct.unpack("q", pipe.read(8))
-            end = len(cells) + rows * 8 * len(layout[2])
-            while chunk := pipe.read(1 << 16):
-                cells += chunk
-            if len(cells) != end + rows:
-                raise ValueError("a worker's output was cut short")
-            labels += cells[end:]
-            del cells[end:]
-        result = layout[2], cells, labels
-    except Exception:
-        pass  # the one-pass reader reads the whole file
-    finally:
-        for pid, pipe in workers:
-            pipe.close()
-            if result is None:  # a worker still parsing stops at once
-                from signal import SIGKILL  # here, since the module takes 0.15 MiB
-
-                with suppress(ProcessLookupError):
-                    os.kill(pid, SIGKILL)
-            with suppress(ChildProcessError):  # gone already where SIGCHLD is ignored
-                os.waitpid(pid, 0)
-    return result
+        rows = read_blocks(path, label_column, BLOCK_BYTES)
+        if rows is not None:
+            return rows
+    return _read_stream(path, label_column)
 
 
 def load_dataset(
@@ -395,9 +275,7 @@ def load_dataset(
         raise FileNotFoundError(f"no such file: {path}")
 
     try:
-        feature_names, cells, labels = _read_blocks(path, label_column) or _read_stream(
-            path, label_column
-        )
+        feature_names, cells, labels = _read_rows(path, label_column)
     except UnicodeDecodeError:
         raise MalformedRowError(f"{path}: not UTF-8 text") from None
 

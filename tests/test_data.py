@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from reliopt import data
+from reliopt import blocks, data
 from reliopt.data import (
     DEFAULT_SEED,
     Bounds,
@@ -53,7 +53,7 @@ def _force_blocks(monkeypatch, path, ranges: int = 2) -> None:
 
 
 def _blocks_can_run() -> bool:
-    return hasattr(os, "fork") and data._usable_cpus() > 1
+    return hasattr(os, "fork") and blocks._usable_cpus() > 1
 
 
 def _assert_no_child_left() -> None:
@@ -395,8 +395,8 @@ class TestBlockReader:
 
     def test_a_clean_table_is_read_in_blocks(self, tmp_path, monkeypatch, streamed, forked):
         content = ("\n".join(_table_lines()) + "\n").encode()
-        path, one_pass, blocks = self._outcomes(tmp_path, monkeypatch, content)
-        assert blocks == one_pass and blocks[2] == (300, 2)
+        path, one_pass, in_blocks = self._outcomes(tmp_path, monkeypatch, content)
+        assert in_blocks == one_pass and in_blocks[2] == (300, 2)
         assert streamed == [path]  # the first load, of a file under two blocks
         assert len(forked) == (1 if _blocks_can_run() else 0)
         _assert_no_child_left()
@@ -424,11 +424,30 @@ class TestBlockReader:
         lines = _table_lines()
         lines[row] = text
         content = ("\n".join(lines) + "\n").encode("utf-8", "surrogateescape")
-        path, one_pass, blocks = self._outcomes(tmp_path, monkeypatch, content)
-        assert blocks == one_pass == (MalformedRowError, f"{path}{message}")
+        path, one_pass, in_blocks = self._outcomes(tmp_path, monkeypatch, content)
+        assert in_blocks == one_pass == (MalformedRowError, f"{path}{message}")
         assert streamed == [path] * (1 + _blocks_can_run())
-        assert len(forked) <= data._usable_cpus() - 1
+        assert len(forked) <= blocks._usable_cpus() - 1
         _assert_no_child_left()
+
+    def test_small_files_never_import_the_block_reader(self, tmp_path):
+        # compiling it takes about 0.1 MiB that a process reading small files keeps
+        path = write_csv(tmp_path / "d.csv", "\n".join(_table_lines()) + "\n")
+        code = (
+            "import sys\n"
+            "from reliopt import cli, load_dataset\n"
+            "load_dataset(sys.argv[1], 'label')\n"
+            "print('reliopt.blocks' in sys.modules)\n"
+        )
+        src = str(Path(data.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c", code, path],
+            env={"PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert (out.stdout, out.stderr) == ("False\n", "")
 
     def test_a_failed_range_leaves_no_worker_blocked_on_its_pipe(self, tmp_path):
         # a worker once kept its own pipe's read end open: after the first
@@ -465,14 +484,14 @@ class TestBlockReader:
     def test_interrupt_reaps_the_workers(self, tmp_path, monkeypatch, forked):
         path = write_csv(tmp_path / "d.csv", "\n".join(_table_lines()) + "\n")
         _force_blocks(monkeypatch, path)
-        parse_range, parent = data._parse_range, os.getpid()
+        parse_range, parent = blocks._parse_range, os.getpid()
 
         def interrupted(*args):
             if os.getpid() == parent:
                 raise KeyboardInterrupt
             return parse_range(*args)
 
-        monkeypatch.setattr(data, "_parse_range", interrupted)
+        monkeypatch.setattr(blocks, "_parse_range", interrupted)
         with pytest.raises(KeyboardInterrupt):
             load_dataset(path, "label")
         assert len(forked) == (1 if _blocks_can_run() else 0)
@@ -484,14 +503,14 @@ class TestBlockReader:
         lines[1] = "abc,0.5,1"
         path = write_csv(tmp_path / "d.csv", "\n".join(lines) + "\n")
         _force_blocks(monkeypatch, path)
-        parse_range, parent = data._parse_range, os.getpid()
+        parse_range, parent = blocks._parse_range, os.getpid()
 
         def slow_in_workers(*args):
             if os.getpid() != parent:
                 time.sleep(20)
             return parse_range(*args)
 
-        monkeypatch.setattr(data, "_parse_range", slow_in_workers)
+        monkeypatch.setattr(blocks, "_parse_range", slow_in_workers)
         start = time.perf_counter()
         with pytest.raises(MalformedRowError, match=r"d\.csv:2: non-numeric value 'abc'"):
             load_dataset(path, "label")
@@ -504,13 +523,13 @@ class TestBlockReader:
         # as a kill in the middle of its write would
         path = write_csv(tmp_path / "d.csv", "\n".join(_table_lines()) + "\n")
         _force_blocks(monkeypatch, path)
-        parse_range, parent = data._parse_range, os.getpid()
+        parse_range, parent = blocks._parse_range, os.getpid()
 
         def cut_short_in_workers(*args):
             cells, labels = parse_range(*args)
             return cells, labels + [256] if os.getpid() != parent else labels
 
-        monkeypatch.setattr(data, "_parse_range", cut_short_in_workers)
+        monkeypatch.setattr(blocks, "_parse_range", cut_short_in_workers)
         ds = load_dataset(path, "label")
         assert ds.features.shape == (300, 2)
         assert streamed == [Path(path)]
@@ -526,10 +545,10 @@ class TestBlockReader:
         content = ("\n".join(lines) + "\n").encode()
         previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
         try:
-            path, one_pass, blocks = self._outcomes(tmp_path, monkeypatch, content)
+            path, one_pass, in_blocks = self._outcomes(tmp_path, monkeypatch, content)
         finally:
             signal.signal(signal.SIGCHLD, previous)
-        assert blocks == one_pass
+        assert in_blocks == one_pass
         assert streamed == [path] * (1 + (bad_row is not None and _blocks_can_run()))
         assert len(forked) == (1 if _blocks_can_run() else 0)
         _assert_no_child_left()
