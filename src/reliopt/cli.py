@@ -264,9 +264,15 @@ def _bounds_from_args(args: argparse.Namespace, settings: dict, model) -> Bounds
             return check_box(compute_bounds(dataset), dataset.feature_names)
     path = Path(args.bounds)
     try:
-        return check_box(Bounds(**_read_json(path, _BOUNDS, "bounds")))
+        bounds = check_box(Bounds(**_read_json(path, _BOUNDS, "bounds")))
     except InvalidDimensionsError as exc:
         raise _UsageError(f"{path}: {exc}") from None
+    if bounds.n != model.n_features:
+        raise _UsageError(
+            f"{path}: lower and upper have length {bounds.n}, "
+            f"but {args.model} was fitted on {model.n_features} ratios"
+        )
+    return bounds
 
 
 def cmd_optimize(args: argparse.Namespace) -> int:

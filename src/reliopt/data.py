@@ -27,7 +27,7 @@ from .errors import (
     MissingValuesRejectedError,
     UnknownLabelColumnError,
 )
-from .logistic import freeze_fields, sigmoid
+from .logistic import LogisticModel, freeze_fields, reliability_rows
 
 DEFAULT_SEED = 0
 
@@ -333,9 +333,10 @@ def generate_synthetic(
     """Draw a labeled dataset from a known logistic ground truth.
 
     Features are uniform per column inside ``feature_ranges``; each label is
-    Bernoulli with success probability ``sigmoid(b0 + b . x)``. Deterministic
-    given ``seed``: the feature matrix is drawn first (row-major), then one
-    uniform per row for the labels.
+    Bernoulli with success probability ``sigmoid(b0 + b . x)``, scored by
+    ``reliability_rows``, the kernel the swarm uses. Deterministic given
+    ``seed``: the feature matrix is drawn first (row-major), then one uniform
+    per row for the labels.
 
     Returns the dataset together with an (echoed) copy of the coefficients.
     """
@@ -355,7 +356,7 @@ def generate_synthetic(
 
     rng = np.random.default_rng(seed)
     features = rng.uniform(feature_ranges.lower, feature_ranges.upper, size=(m_rows, n_features))
-    probabilities = sigmoid(beta[0] + features @ beta[1:])
-    labels = (rng.random(m_rows) < probabilities).astype(int)
     names = tuple(f"x{i + 1}" for i in range(n_features))
+    probabilities = reliability_rows(LogisticModel(beta, names), features)
+    labels = (rng.random(m_rows) < probabilities).astype(int)
     return Dataset(features=features, labels=labels, feature_names=names), beta.copy()

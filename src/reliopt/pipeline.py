@@ -19,8 +19,9 @@ from functools import partial
 import numpy as np
 
 from .data import Bounds, Dataset, compute_bounds
-from .logistic import FitReport, LogisticModel, _emit_json, fit, model_payload, reliability_rows
-from .oracle import CornerSolution, corner_optimum
+from .errors import DimensionMismatchError
+from .logistic import FitReport, LogisticModel, _emit_json, fit, freeze_fields, model_payload
+from .logistic import reliability, reliability_rows
 from .pso import SwarmConfig, SwarmResult, check_box, maximize
 
 DEFAULT_N_RUNS = 25
@@ -51,6 +52,22 @@ class PipelineConfig:
 
 
 @dataclass(frozen=True, eq=False)
+class CornerSolution:
+    """A box vertex with its reliability and the sign that chose each side.
+
+    Sign +1 means the upper bound, -1 the lower bound, and 0 a fitted slope
+    of exactly 0, pinned to the lower bound by convention.
+    """
+
+    position: np.ndarray
+    value: float
+    active_signs: np.ndarray
+
+    def __post_init__(self) -> None:
+        freeze_fields(self, position=float, active_signs=int)
+
+
+@dataclass(frozen=True, eq=False)
 class Prescription:
     position: np.ndarray
     reliability: float
@@ -66,6 +83,22 @@ class PrescriptionReport:
     config: PipelineConfig
     warnings: tuple[str, ...]
     fit_report: FitReport | None = None
+
+
+def corner_optimum(model: LogisticModel, bounds: Bounds) -> CornerSolution:
+    """Exact global maximum of the reliability over the box, in closed form.
+
+    The reliability rises with the linear score ``b0 + b . x``, so its
+    maximum over a box is the vertex that each slope's sign picks. The sign
+    is exact, so the vertex does not depend on the ratios' units.
+    """
+    if bounds.n != model.n_features:
+        raise DimensionMismatchError(
+            f"model has {model.n_features} features, bounds have {bounds.n}"
+        )
+    signs = np.sign(model.beta[1:]).astype(int)
+    position = np.where(signs > 0, bounds.upper, bounds.lower)
+    return CornerSolution(position=position, value=reliability(model, position), active_signs=signs)
 
 
 def normalized_distance(a, b, bounds: Bounds) -> float:

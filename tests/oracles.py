@@ -12,7 +12,7 @@ same Dataset, or the same error type and message.
 The reliability objective is a monotone transform of a linear score, so its
 exact maximum over a box sits at a vertex. ``enumerate_corners`` finds that
 vertex by exhaustive search, independently of the closed form in
-``reliopt.oracle.corner_optimum``.
+``reliopt.pipeline.corner_optimum``.
 
 ``velocity_update`` and ``position_update`` are the swarm's update equations,
 one fresh array per step, and ``reference_maximize`` is the stacked swarm
@@ -39,7 +39,7 @@ from reliopt.errors import (
     UnknownLabelColumnError,
 )
 from reliopt.logistic import LogisticModel, _log_likelihood, reliability_rows, sigmoid
-from reliopt.oracle import CornerSolution
+from reliopt.pipeline import CornerSolution
 from reliopt.pso import SwarmConfig, SwarmResult
 
 MAX_ENUMERATION_DIMS = 20

@@ -2,6 +2,7 @@
 tolerance. Run with ``pytest tests/test_acceptance.py -v -s`` to see one
 PASS/FAIL line per criterion."""
 
+import itertools
 import json
 import re
 import time
@@ -26,8 +27,7 @@ from reliopt import (
 from reliopt.cli import render_report_table
 from reliopt.data import MissingPolicy, generate_synthetic
 from reliopt.logistic import reliability_rows
-from reliopt.oracle import corner_optimum
-from reliopt.pipeline import normalized_distance, optimize_reliability
+from reliopt.pipeline import corner_optimum, normalized_distance, optimize_reliability
 from reliopt.pso import maximize
 
 from oracles import gradient, log_likelihood, position_update, velocity_update, within
@@ -184,13 +184,17 @@ def test_06_pipeline_determinism(pipeline_fixture):
 def test_07_dominance_chain(pipeline_fixture):
     with criterion(7, "corner >= ensemble >= prescriptions, all feasible"):
         dataset, config = pipeline_fixture
-        for iters in (3, 40):
+        # x9 in units 1e16 times smaller fits a slope near 2e-16: still a slope
+        units = np.ones(9)
+        units[8] = 1e16
+        rescaled = Dataset(dataset.features * units, dataset.labels, dataset.feature_names)
+        for data, iters in itertools.product((dataset, rescaled), (3, 40)):
             cfg = PipelineConfig(
                 swarm=SwarmConfig(population_size=20, max_iterations=iters, seed=0),
                 n_runs=10,
                 base_seed=config.base_seed,
             )
-            report = run_pipeline(dataset, cfg)
+            report = run_pipeline(data, cfg)
             top = max(r.best_value for r in report.ensemble)
             assert report.corner.value >= top
             for run in report.ensemble:

@@ -372,16 +372,19 @@ class TestOptimize:
             (b'{"lower": [-1e308, 1], "upper": [1e308, 3]}', _TOO_WIDE),
             (b'{"lower": [-5e307], "upper": [5e307]}', _TOO_WIDE),
             (b'{"lower": [' + b"1" * 4301 + b"]}", "not valid JSON (Exceeds the limit"),
+            (b'{"lower": [0], "upper": [1]}', "lower and upper have length 1, but "),
         ],
         ids=[
             "not json", "not utf-8", "lower above upper", "nested too deep",
             "width overflows", "doubled width overflows", "integer past the digit limit",
+            "wrong length",
         ],
     )
     def test_unreadable_bounds_file_is_usage_error(self, model_json, tmp_path, capsys, body, message):
         # not-JSON used to exit 1; not-UTF-8 and deep nesting ended in a
         # traceback, and so did both boxes too wide for the swarm, in numpy's
-        # uniform (the second at the velocity draw over +-width)
+        # uniform (the second at the velocity draw over +-width); a wrong
+        # length exited 1 naming no file
         bounds_path = tmp_path / "bounds.json"
         bounds_path.write_bytes(body)
         capsys.readouterr()
@@ -448,16 +451,6 @@ class TestOptimize:
             "error: nan has no JSON form: reports and model files hold finite numbers only"
         ]
         assert done.stderr.endswith(errors[0] + "\n")
-
-    def test_model_bounds_dimension_mismatch_exit_1(self, model_json, tmp_path, capsys):
-        bounds_path = tmp_path / "bounds.json"
-        bounds_path.write_text(json.dumps({"lower": [0, 0], "upper": [1, 1]}))
-        code = run_cli(
-            "optimize", "--model", str(model_json), "--bounds", str(bounds_path),
-            "--pop", "10", "--iters", "2", "--runs", "2", "--seed", "0",
-        )
-        assert code == 1
-        assert "features" in capsys.readouterr().err
 
 
 class TestPipeline:

@@ -34,7 +34,7 @@ from reliopt.errors import (
     UnknownLabelColumnError,
 )
 from reliopt.logistic import LogisticModel, sigmoid
-from reliopt.oracle import CornerSolution
+from reliopt.pipeline import CornerSolution
 from reliopt.pso import SwarmResult
 
 from conftest import write_csv
@@ -431,13 +431,14 @@ class TestBlockReader:
         _assert_no_child_left()
 
     def test_small_files_never_import_the_block_reader(self, tmp_path):
-        # compiling it takes about 0.1 MiB that a process reading small files keeps
+        # compiling it takes about 0.1 MiB that a process reading small files
+        # keeps; every module of the start-up set costs its compile time too
         path = write_csv(tmp_path / "d.csv", "\n".join(_table_lines()) + "\n")
         code = (
             "import sys\n"
             "from reliopt import cli, load_dataset\n"
             "load_dataset(sys.argv[1], 'label')\n"
-            "print('reliopt.blocks' in sys.modules)\n"
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'reliopt'))\n"
         )
         src = str(Path(data.__file__).resolve().parents[1])
         out = subprocess.run(
@@ -447,7 +448,9 @@ class TestBlockReader:
             text=True,
             timeout=60,
         )
-        assert (out.stdout, out.stderr) == ("False\n", "")
+        modules = ("cli", "data", "errors", "logistic", "pipeline", "pso")
+        expected = ["reliopt"] + [f"reliopt.{m}" for m in modules]
+        assert (out.stdout, out.stderr) == (f"{expected}\n", "")
 
     def test_a_failed_range_leaves_no_worker_blocked_on_its_pipe(self, tmp_path):
         # a worker once kept its own pipe's read end open: after the first

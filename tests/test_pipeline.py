@@ -20,9 +20,10 @@ from reliopt.logistic import (
     reliability,
     reliability_rows,
 )
-from reliopt.oracle import CornerSolution, corner_optimum
 from reliopt.pipeline import (
+    CornerSolution,
     PipelineConfig,
+    corner_optimum,
     normalized_distance,
     optimize_reliability,
     report_to_json,

@@ -11,7 +11,7 @@ from reliopt import pso
 from reliopt.data import Bounds
 from reliopt.errors import DimensionMismatchError, InvalidDimensionsError
 from reliopt.logistic import LogisticModel, reliability, reliability_rows
-from reliopt.oracle import corner_optimum
+from reliopt.pipeline import corner_optimum
 from reliopt.pso import SwarmConfig, maximize
 
 from oracles import position_update, reference_maximize, velocity_update, within
