@@ -2,11 +2,13 @@
 
 Stage one fits the logistic model on the whole dataset. Stage two freezes the
 coefficients, derives the search box from the data, runs a seeded ensemble of
-swarm maximizations of the reliability, and reports the exact corner optimum
-together with distinct near-optimal prescriptions. Deliberately small
+swarm maximizations of the reliability, and reports the closed-form corner
+optimum together with distinct near-optimal prescriptions. Deliberately small
 iteration budgets leave the ensemble short of the corner, which is what makes
 the prescriptions actionable: interior ratio vectors that give up almost no
-reliability.
+reliability. A run that does reach the corner's value stops sweeping, when
+that value is at least 0.5 and so bounds every evaluation; its results are
+the ones the full budget gives.
 """
 
 from __future__ import annotations
@@ -86,11 +88,18 @@ class PrescriptionReport:
 
 
 def corner_optimum(model: LogisticModel, bounds: Bounds) -> CornerSolution:
-    """Exact global maximum of the reliability over the box, in closed form.
+    """The box vertex of the largest reliability, in closed form.
 
     The reliability rises with the linear score ``b0 + b . x``, so its
     maximum over a box is the vertex that each slope's sign picks. The sign
     is exact, so the vertex does not depend on the ratios' units.
+
+    In float the vertex's score is the largest too: the kernel sums
+    correctly rounded products, and those are monotone. Its value is the
+    exact float maximum of the reliability when it is at least 0.5, where
+    the sigmoid takes its ``1/(1 + e)`` branch, which is non-decreasing.
+    Below 0.5 the ``e/(1 + e)`` branch is not, and a point an ulp inside
+    the box can score an ulp above the vertex.
     """
     if bounds.n != model.n_features:
         raise DimensionMismatchError(
@@ -162,7 +171,11 @@ def optimize_reliability(
     """
     corner = corner_optimum(model, bounds)
     seeds = range(config.base_seed, config.base_seed + config.n_runs)
-    ensemble = tuple(maximize(partial(reliability_rows, model), bounds, config.swarm, seeds))
+    # At or above 0.5 the corner's value bounds every evaluation in float
+    # (see corner_optimum), so a run that reaches it stops sweeping.
+    ceiling = corner.value if corner.value >= 0.5 else None
+    objective = partial(reliability_rows, model)
+    ensemble = tuple(maximize(objective, bounds, config.swarm, seeds, ceiling=ceiling))
 
     prescriptions = tuple(
         select_prescriptions(

@@ -70,7 +70,9 @@ class SwarmResult:
 
     ``history[0]`` is the best value among the initial positions; one entry
     follows per update sweep, so ``len(history) == iterations_run + 1`` and
-    the trace is non-decreasing with ``history[-1] == best_value``.
+    the trace is non-decreasing with ``history[-1] == best_value``. A run
+    retired at ``maximize``'s ceiling repeats its best to the end of the
+    budget, which is what its remaining sweeps would have recorded.
     """
 
     seed: int
@@ -84,13 +86,26 @@ class SwarmResult:
 
 
 def maximize(
-    objective, bounds: Bounds, config: SwarmConfig, seeds: Iterable[int]
+    objective,
+    bounds: Bounds,
+    config: SwarmConfig,
+    seeds: Iterable[int],
+    *,
+    ceiling: float | None = None,
 ) -> list[SwarmResult]:
     """Run one seeded swarm per seed and return each run's global best.
 
     ``objective`` is a batch objective: it maps an ``(m, n)`` block of
     positions to their ``(m,)`` values, and a row's value must not depend on
     the block it comes in. Results come back in seed order.
+
+    ``ceiling``, if given, must be a value that no position in the box
+    scores above, such as the exact maximum. A run whose best reaches it is
+    retired before the next sweep: its history is filled with that best, and
+    it makes no more draws and no more evaluations. Since no later sweep
+    could have raised its best, and the other runs neither share its
+    generator nor see its rows, every result is the one ``ceiling=None``
+    gives, bit for bit.
 
     The runs are stacked into one ``(runs, pop, n)`` swarm, in groups of at
     most ``STACK_FLOATS`` floats per array (at least one run each), so every
@@ -102,11 +117,13 @@ def maximize(
     therefore bit-identical to the same seed run alone.
 
     A sweep is a fixed set of in-place operations on buffers allocated once
-    per group, taken in the order the formula above reads, so every value
-    rounds as it would in a fresh array per step, from the same draws. The
-    objective always gets the group's positions as the same C-contiguous
-    float64 ``(runs*pop, n)`` block, which the next sweep overwrites: an
-    objective that keeps its rows copies them.
+    per group, and again for the live runs when runs retire, taken in the
+    order the formula above reads, so every value rounds as it would in a
+    fresh array per step, from the same draws. The objective gets the
+    group's positions as a C-contiguous float64 ``(runs*pop, n)`` block,
+    which the next sweep overwrites: an objective that keeps its rows copies
+    them. With ``ceiling=None`` it is the same block every sweep; as runs
+    retire, it is a new and smaller block of the live runs' rows.
 
     Positions start uniform in the box and velocities in ``+-(upper - lower)``,
     placed as ``Generator.uniform`` places the same draws, after ``check_box``
@@ -126,7 +143,7 @@ def maximize(
         raise MemoryError(f"a swarm array of {floats} floats is past any address space")
     results: list[SwarmResult] = []
     for start in range(0, len(seeds), group):
-        results += _stacked(objective, bounds, config, seeds[start : start + group])
+        results += _stacked(objective, bounds, config, seeds[start : start + group], ceiling)
     return results
 
 
@@ -140,7 +157,9 @@ def check_box(bounds: Bounds, names: Sequence[str] | None = None) -> Bounds:
     return bounds
 
 
-def _stacked(objective, bounds: Bounds, config: SwarmConfig, seeds: list[int]) -> list[SwarmResult]:
+def _stacked(
+    objective, bounds: Bounds, config: SwarmConfig, seeds: list[int], ceiling: float | None
+) -> list[SwarmResult]:
     rngs = [np.random.default_rng(seed) for seed in seeds]
     span = bounds.span
     runs, pop, n = len(seeds), config.population_size, bounds.n
@@ -162,8 +181,8 @@ def _stacked(objective, bounds: Bounds, config: SwarmConfig, seeds: list[int]) -
     leader = np.argmax(best_values, axis=1)
     global_best = full(best_positions[run, leader][:, np.newaxis])
     sweeps = config.max_iterations
-    history = np.empty((sweeps + 1, runs))
-    history[0] = best_values[run, leader]
+    history = np.empty((runs, sweeps + 1))  # one row per run
+    history[:, 0] = best_values[run, leader]
 
     lower, upper = full(bounds.lower), full(bounds.upper)
     v_max = full(config.velocity_clamp_fraction * span)
@@ -184,7 +203,39 @@ def _stacked(objective, bounds: Bounds, config: SwarmConfig, seeds: list[int]) -
     rand = np.empty((runs, pop, 2, 1 if config.scalar_rand else n))
     r1, r2 = rand[:, :, 0, :], rand[:, :, 1, :]
     weights = np.broadcast_to(np.array([[config.c1], [config.c2]]), rand.shape).copy()
+    results: dict[int, SwarmResult] = {}
+    place = np.arange(runs)  # each live run's index in seeds
+
+    def finish(rows):
+        for r in rows:
+            results[place[r]] = SwarmResult(
+                seeds[place[r]], global_best[r, 0], float(history[r, -1]), sweeps, history[r]
+            )
+
     for sweep in range(sweeps):
+        if ceiling is not None and (done := history[:, sweep] >= ceiling).any():
+            # no later sweep can raise these runs' best: fix their results
+            history[done, sweep + 1 :] = history[done, sweep, np.newaxis]
+            finish(np.flatnonzero(done))
+            live = ~done
+            rngs = [rng for rng, keep in zip(rngs, live) if keep]
+            runs = len(rngs)
+            if not runs:
+                break
+            positions, velocities, best_positions, best_values, global_best, history, place = (
+                state[live]
+                for state in (
+                    positions, velocities, best_positions, best_values, global_best, history, place
+                )
+            )
+            # alike for every run, or scratch: their first rows serve as views,
+            # so these copy nothing and the peak memory stays where it was
+            lower, upper, v_max, v_min, pull, rand, weights = (
+                state[:runs] for state in (lower, upper, v_max, v_min, pull, rand, weights)
+            )
+            block = positions.reshape(runs * pop, n)
+            run = np.arange(runs)
+            r1, r2 = rand[:, :, 0, :], rand[:, :, 1, :]
         w = config.w_start + (config.w_end - config.w_start) * (sweep / max(sweeps - 1, 1))
         for rng, draws in zip(rngs, rand):
             rng.random(out=draws)
@@ -206,11 +257,9 @@ def _stacked(objective, bounds: Bounds, config: SwarmConfig, seeds: list[int]) -
         np.copyto(best_values, values, where=improved)
         leader = np.argmax(best_values, axis=1)
         top = best_values[run, leader]
-        gained = top > history[sweep]
-        history[sweep + 1] = np.where(gained, top, history[sweep])
+        gained = top > history[:, sweep]
+        history[:, sweep + 1] = np.where(gained, top, history[:, sweep])
         global_best[gained] = best_positions[run[gained], leader[gained]][:, np.newaxis]
 
-    return [
-        SwarmResult(seed, global_best[r, 0], float(history[-1, r]), sweeps, history[:, r])
-        for r, seed in enumerate(seeds)
-    ]
+    finish(range(runs))
+    return [results[i] for i in range(len(seeds))]

@@ -105,6 +105,21 @@ class TestSigmoid:
         if hi - lo > 1e-9 and abs(lo) < 30 and abs(hi) < 30:
             assert sigmoid(lo) < sigmoid(hi)
 
+    def test_non_decreasing_in_float_from_zero_up(self):
+        # The swarm's ceiling rests on this: a score at or past the corner's
+        # non-negative one never gives a larger reliability. Sampled uniformly
+        # on [0, 40] (past 40 the value is 1.0) and log-uniformly down to the
+        # smallest subnormal, each against its next float up.
+        rng = np.random.default_rng(0)
+        t = np.concatenate([
+            rng.uniform(0.0, 40.0, 500_000),
+            2.0 ** rng.uniform(-1074.0, math.log2(40.0), 500_000),
+            [0.0, -0.0, np.finfo(float).max],
+        ])
+        with np.errstate(over="ignore"):  # the largest float's next is inf
+            up = np.nextafter(t, np.inf)
+        assert (sigmoid(up) >= sigmoid(t)).all()
+
     @given(st.floats(-700, 700))
     @settings(max_examples=200)
     def test_reflection_symmetry(self, t):

@@ -9,10 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reliopt import pso
+from reliopt import pipeline, pso
 from reliopt.data import Bounds, Dataset, compute_bounds, generate_synthetic, load_dataset
 from reliopt.errors import InvalidDimensionsError
 from reliopt.logistic import (
+    LogisticModel,
     _emit_json,
     fit,
     model_from_json,
@@ -285,6 +286,45 @@ class TestStackedEnsemble:
             assert np.array_equal(alone.best_position, run.best_position)
             assert alone.best_value == run.best_value
             assert np.array_equal(alone.history, run.history)
+
+
+class TestCeiling:
+    """optimize_reliability stops a run at the corner's value only at or
+    above 0.5, where that value bounds every evaluation in float."""
+
+    # Below 0.5, sigmoid's e/(1 + e) branch is not monotone in float: the
+    # point one float inside this box's upper bound scores above the corner.
+    BELOW_HALF = (np.array([0.0, 1.0]), Bounds(np.array([-2.941842]), np.array([-1.941842])))
+
+    def test_corner_below_one_half_is_not_the_float_maximum(self):
+        beta, bounds = self.BELOW_HALF
+        model = LogisticModel(beta=beta, feature_names=("x1",))
+        corner = corner_optimum(model, bounds)
+        assert corner.value == 0.12544563302641967
+        inside = np.nextafter(bounds.upper, -np.inf)
+        assert reliability(model, inside) == 0.1254456330264197 > corner.value
+
+    @pytest.mark.parametrize("intercept, retires", [(0.0, False), (4.0, True)])
+    def test_runs_retire_only_at_or_above_one_half(self, monkeypatch, intercept, retires):
+        beta, bounds = self.BELOW_HALF
+        model = LogisticModel(beta=beta + [intercept, 0.0], feature_names=("x1",))
+        assert (corner_optimum(model, bounds).value >= 0.5) == retires
+        config = pipeline_config(pop=30, iters=200, runs=5)
+        rows = []
+
+        def counting(model, block):
+            rows.append(len(block))
+            return reliability_rows(model, block)
+
+        monkeypatch.setattr(pipeline, "reliability_rows", counting)
+        report = optimize_reliability(model, bounds, config)
+        assert (sum(rows) < 30 * 201 * 5) == retires
+        expected = maximize(partial(reliability_rows, model), bounds, config.swarm, range(5))
+        for got, want in zip(report.ensemble, expected, strict=True):
+            assert np.array_equal(got.best_position, want.best_position)
+            assert got.best_value == want.best_value
+            assert got.iterations_run == want.iterations_run == 200
+            assert np.array_equal(got.history, want.history)
 
 
 class TestReportJson:

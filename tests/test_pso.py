@@ -4,7 +4,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
 from reliopt import pso
@@ -472,6 +472,133 @@ class TestReferenceSweep:
         for got, want in zip(results, expected):
             assert same_bits(got.best_position, want.best_position)
             assert same_bits(got.history, want.history)
+
+
+def same_results(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.seed == b.seed
+        assert same_bits(a.best_position, b.best_position)
+        assert same_bits(a.best_value, b.best_value)
+        assert a.iterations_run == b.iterations_run
+        assert same_bits(a.history, b.history)
+
+
+def counted(objective, calls):
+    def counting(rows):
+        calls.append(rows.shape)
+        return objective(rows)
+
+    return counting
+
+
+def paper_like_problem():
+    # 9 ratios on unlike scales, both slope signs, corner value near 0.9
+    rng = np.random.default_rng(3)
+    lower = rng.uniform(-1.0, 1.0, 9) * 10.0 ** rng.uniform(-1, 1, 9)
+    upper = lower + 10.0 ** rng.uniform(-1, 1, 9)
+    slopes = rng.uniform(-1.5, 1.5, 9) / np.where(upper - lower > 1, upper - lower, 1.0)
+    corner = np.where(slopes > 0, upper, lower)
+    beta = np.concatenate([[2.0 - float(slopes @ corner)], slopes])
+    model = LogisticModel(beta=beta, feature_names=tuple(f"r{i}" for i in range(1, 10)))
+    return model, Bounds(lower, upper)
+
+
+class TestCeiling:
+    """Runs retired at the corner's value give the results of the full budget."""
+
+    @given(
+        n=st.integers(1, 5),
+        pop=st.integers(2, 10),
+        iters=st.integers(1, 40),
+        seeds=st.lists(st.integers(0, 2**32), min_size=1, max_size=8),
+        case=st.integers(0, 2**32 - 1),
+        slopes=st.lists(
+            st.sampled_from([0.0, -0.0, 5e-324, -1e-300, 1e-12]) | st.floats(-3, 3),
+            min_size=5, max_size=5,
+        ),
+        units=st.lists(st.floats(-20, 20), min_size=5, max_size=5),
+        pinned=st.lists(
+            st.sampled_from([None, None, None, 2.5, 0.0, -0.0, (-0.0, 0.0)]),
+            min_size=5, max_size=5,
+        ),
+        margin=st.sampled_from([0.0, 1e-12, 40.0]) | st.floats(0, 40),
+        scalar_rand=st.booleans(),
+        clamp=st.sampled_from([1.0]) | st.floats(1e-3, 1),
+        runs_per_group=st.sampled_from([None, 1, 2, 3]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_ceiling_changes_no_result_bit(
+        self, n, pop, iters, seeds, case, slopes, units, pinned, margin, scalar_rand, clamp,
+        runs_per_group,
+    ):
+        # each ratio in units from 1e-20 to 1e20: its box scaled by the unit
+        # and its slope divided by it
+        rng = np.random.default_rng(case)
+        unit = 10.0 ** np.array(units[:n])
+        lower = rng.uniform(-3.0, 0.0, n) * unit
+        upper = lower + rng.uniform(0.1, 4.0, n) * unit
+        for j, at in enumerate(pinned[:n]):
+            if at is not None:
+                lower[j], upper[j] = at if isinstance(at, tuple) else (at, at)
+        slope = np.array(slopes[:n]) / unit
+        # the intercept puts the corner's score near margin >= 0
+        score = 0.0
+        for s, low, high in zip(slope, lower, upper):
+            score += (high if s > 0 else low) * s
+        model = LogisticModel(
+            beta=np.concatenate([[margin - score], slope]),
+            feature_names=tuple(f"x{i}" for i in range(n)),
+        )
+        bounds = Bounds(lower, upper)
+        corner = corner_optimum(model, bounds)
+        assume(corner.value >= 0.5)
+        objective = partial(reliability_rows, model)
+        config = swarm(pop, iters, scalar_rand=scalar_rand, velocity_clamp_fraction=clamp)
+        with pytest.MonkeyPatch.context() as patch:
+            if runs_per_group is not None:
+                patch.setattr(pso, "STACK_FLOATS", runs_per_group * pop * n)
+            full = maximize(objective, bounds, config, seeds)
+            retired = maximize(objective, bounds, config, seeds, ceiling=corner.value)
+        same_results(retired, full)
+
+    def test_paper_like_runs_retire(self):
+        model, bounds = paper_like_problem()
+        corner = corner_optimum(model, bounds)
+        assert corner.value >= 0.5
+        pop, iters, runs = 30, 200, 25
+        config = swarm(pop, iters)
+        calls = []
+        retired = maximize(
+            counted(partial(reliability_rows, model), calls), bounds, config, range(runs),
+            ceiling=corner.value,
+        )
+        rows = sum(shape[0] for shape in calls)
+        assert rows < pop * (iters + 1) * runs
+        assert calls[-1][0] < calls[0][0] == pop * runs
+        assert any(run.best_value == corner.value for run in retired)
+        same_results(retired, maximize(partial(reliability_rows, model), bounds, config, range(runs)))
+
+    def test_group_ends_when_every_run_is_retired(self):
+        # a zero slope: every position scores the corner's value, so every
+        # run is retired after the initial evaluation
+        model = LogisticModel(beta=np.array([1.0, 0.0, 0.0]), feature_names=("a", "b"))
+        corner = corner_optimum(model, unit_box(2))
+        calls = []
+        objective = counted(partial(reliability_rows, model), calls)
+        results = maximize(objective, unit_box(2), swarm(6, 50), range(4), ceiling=corner.value)
+        assert calls == [(24, 2)]
+        for result in results:
+            assert result.iterations_run == 50
+            assert result.history.tolist() == [corner.value] * 51
+
+    def test_nan_ceiling_retires_nothing(self):
+        calls = []
+        results = maximize(
+            counted(sphere, calls), unit_box(3), swarm(6, 4), range(5), ceiling=float("nan")
+        )
+        assert calls == [(30, 3)] * 5
+        same_results(results, maximize(sphere, unit_box(3), swarm(6, 4), range(5)))
 
 
 class TestCornerConvergence:
