@@ -32,6 +32,16 @@ def sphere(rows):
     return total
 
 
+def counted(objective, calls):
+    """``objective``, recording the shape of each block it is given."""
+
+    def counting(rows):
+        calls.append(rows.shape)
+        return objective(rows)
+
+    return counting
+
+
 def swarm(pop, iters, **kw):
     # maximize takes its seeds as an argument; the config's seed is not read
     return SwarmConfig(population_size=pop, max_iterations=iters, seed=0, **kw)
@@ -317,12 +327,7 @@ class TestStackedRuns:
 
     def test_one_objective_call_per_sweep_for_all_runs(self):
         calls = []
-
-        def counted(rows):
-            calls.append(rows.shape)
-            return sphere(rows)
-
-        maximize(counted, unit_box(3), swarm(6, 4), seeds=range(5))
+        maximize(counted(sphere, calls), unit_box(3), swarm(6, 4), seeds=range(5))
         assert calls == [(30, 3)] * 5
 
     def test_objective_gets_one_c_contiguous_float64_block(self, monkeypatch):
@@ -341,19 +346,24 @@ class TestStackedRuns:
 
     def test_groups_bound_the_stacked_arrays(self, monkeypatch):
         calls = []
-
-        def counted(rows):
-            calls.append(rows.shape)
-            return sphere(rows)
-
         # room for two runs of 6 particles in 3 dimensions: groups of 2, 2, 1
         monkeypatch.setattr(pso, "STACK_FLOATS", 2 * 6 * 3)
-        maximize(counted, unit_box(3), swarm(6, 4), seeds=range(5))
+        maximize(counted(sphere, calls), unit_box(3), swarm(6, 4), seeds=range(5))
         assert calls == [(12, 3)] * 10 + [(6, 3)] * 5
 
 
 def same_bits(a, b):
     return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+def same_results(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.seed == b.seed
+        assert same_bits(a.best_position, b.best_position)
+        assert same_bits(a.best_value, b.best_value)
+        assert a.iterations_run == b.iterations_run
+        assert same_bits(a.history, b.history)
 
 
 def recorded(maximizer, objective, bounds, config, seeds):
@@ -416,13 +426,8 @@ class TestReferenceSweep:
         # every position evaluated, not only the best: a changed trajectory
         # often never reaches the global best of so short a run
         assert same_bits(evaluated, evaluated_expected)
-        assert len(results) == len(expected) == len(seeds)
-        for got, want in zip(results, expected):
-            assert got.seed == want.seed
-            assert same_bits(got.best_position, want.best_position)
-            assert same_bits(got.best_value, want.best_value)
-            assert got.iterations_run == want.iterations_run
-            assert same_bits(got.history, want.history)
+        assert len(results) == len(seeds)
+        same_results(results, expected)
 
     @given(
         n=st.integers(1, 4),
@@ -472,24 +477,6 @@ class TestReferenceSweep:
         for got, want in zip(results, expected):
             assert same_bits(got.best_position, want.best_position)
             assert same_bits(got.history, want.history)
-
-
-def same_results(got, want):
-    assert len(got) == len(want)
-    for a, b in zip(got, want):
-        assert a.seed == b.seed
-        assert same_bits(a.best_position, b.best_position)
-        assert same_bits(a.best_value, b.best_value)
-        assert a.iterations_run == b.iterations_run
-        assert same_bits(a.history, b.history)
-
-
-def counted(objective, calls):
-    def counting(rows):
-        calls.append(rows.shape)
-        return objective(rows)
-
-    return counting
 
 
 def paper_like_problem():
