@@ -41,7 +41,7 @@ def _range_lines(handle, start: int, end: int):
 
 
 def _parse_range(path: Path, start: int, end: int, layout):
-    """The cells and labels of the records in bytes ``start:end`` of a file.
+    """The ``_parse_rows`` buffer of the records in bytes ``start:end`` of a file.
 
     Line numbers in its errors count from the range's start; no error of a
     range is shown, because a failed range sends the whole file to the
@@ -52,8 +52,8 @@ def _parse_range(path: Path, start: int, end: int, layout):
 
 
 def _fork_worker(path: Path, start: int, end: int, layout, readers):
-    """Fork a process that parses one range and writes its row count, cells
-    and labels (one byte each) to a pipe, or nothing if it fails; return its
+    """Fork a process that parses one range and writes its buffer's byte
+    count and then the buffer to a pipe, or nothing if it fails; return its
     pid and the pipe's read end. ``readers`` are earlier workers' read ends.
     """
     read_end, write_end = os.pipe()
@@ -78,11 +78,10 @@ def _fork_worker(path: Path, start: int, end: int, layout, readers):
             # the parent has closed its own, and the write could block for ever
             for reader in (pipe, *readers):
                 reader.close()
-            cells, labels = _parse_range(path, start, end, layout)
+            rows = _parse_range(path, start, end, layout)
             with open(write_end, "wb") as out:
-                out.write(struct.pack("q", len(labels)))
-                out.write(cells)
-                out.write(bytes(labels))
+                out.write(struct.pack("q", len(rows)))
+                out.write(rows)
         finally:
             os._exit(0)
     os.close(write_end)
@@ -96,13 +95,13 @@ def _usable_cpus() -> int:
 
 
 def read_blocks(path: Path, label_column: str, block_bytes: int):
-    """The feature names, cells and labels of a CSV file, from one byte
-    range per usable CPU parsed in parallel; None when the file is under two
-    blocks for two CPUs, or any range fails.
+    """The feature names and the ``_parse_rows`` buffer of a CSV file, from
+    one byte range per usable CPU parsed in parallel; None when the file is
+    under two blocks for two CPUs, or any range fails.
 
     The body is cut at the first line feed past each equal share. The first
-    range is parsed here, each other one in a forked worker whose cells are
-    appended to this process's as they arrive.
+    range is parsed here, each other one in a forked worker whose buffer is
+    appended to this process's as it arrives.
     """
     size = path.stat().st_size
     count = min(_usable_cpus(), size // block_bytes)
@@ -125,17 +124,15 @@ def read_blocks(path: Path, label_column: str, block_bytes: int):
         layout = _header(path, csv.reader([head.decode("utf-8-sig")]), label_column)
         for start, end in zip(cuts[1:], cuts[2:]):
             workers.append(_fork_worker(path, start, end, layout, [p for _, p in workers]))
-        cells, labels = _parse_range(path, cuts[0], cuts[1], layout)
+        rows = _parse_range(path, cuts[0], cuts[1], layout)
         for _, pipe in workers:
-            (rows,) = struct.unpack("q", pipe.read(8))
-            end = len(cells) + rows * 8 * len(layout[2])
+            (nbytes,) = struct.unpack("q", pipe.read(8))
+            end = len(rows) + nbytes
             while chunk := pipe.read(1 << 16):
-                cells += chunk
-            if len(cells) != end + rows:
+                rows += chunk
+            if len(rows) != end:
                 raise ValueError("a worker's output was cut short")
-            labels += cells[end:]
-            del cells[end:]
-        result = layout[2], cells, labels
+        result = layout[2], rows
     except Exception:
         pass  # the caller reads the whole file in one pass
     finally:

@@ -36,9 +36,6 @@ from .errors import (
 )
 from .logistic import Fields, checked_json, fit, load_model, model_to_json, save_model
 from .pipeline import (
-    DEFAULT_DISTINCTNESS_RADIUS,
-    DEFAULT_N_PRESCRIPTIONS,
-    DEFAULT_N_RUNS,
     PipelineConfig,
     PrescriptionReport,
     optimize_reliability,
@@ -49,8 +46,9 @@ from .pso import SwarmConfig, check_box
 
 SEED_ENV_VAR = "RELIOPT_SEED"
 
-# SwarmConfig's own defaults for the settings the CLI passes straight through.
+# The config classes' own defaults; SwarmConfig's settings the CLI passes straight through.
 _SWARM = {f.name: f.default for f in fields(SwarmConfig) if f.default is not MISSING}
+_PIPELINE = {f.name: f.default for f in fields(PipelineConfig)}
 _POLICIES = tuple(policy.value for policy in MissingPolicy)
 
 
@@ -77,12 +75,12 @@ _SETTINGS = (
     _Setting("w_end", "swarm", float, _SWARM["w_end"], "final inertia"),
     _Setting("velocity_clamp_fraction", "swarm", float, _SWARM["velocity_clamp_fraction"], None),
     _Setting("scalar_rand", "swarm", bool, _SWARM["scalar_rand"], None),
-    _Setting("runs", "pipeline", int, DEFAULT_N_RUNS, "ensemble size"),
+    _Setting("runs", "pipeline", int, _PIPELINE["n_runs"], "ensemble size"),
     _Setting("seed", "pipeline", int, DEFAULT_SEED,
              f"base seed; run i uses seed+i; ${SEED_ENV_VAR} replaces the default"),
-    _Setting("prescriptions", "pipeline", int, DEFAULT_N_PRESCRIPTIONS,
+    _Setting("prescriptions", "pipeline", int, _PIPELINE["n_prescriptions"],
              "near-optimal solutions to report"),
-    _Setting("radius", "pipeline", float, DEFAULT_DISTINCTNESS_RADIUS,
+    _Setting("radius", "pipeline", float, _PIPELINE["distinctness_radius"],
              "normalized distinctness radius for prescriptions"),
 )
 _SECTIONS = ("swarm", "pipeline")

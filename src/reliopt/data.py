@@ -27,7 +27,7 @@ from .errors import (
     MissingValuesRejectedError,
     UnknownLabelColumnError,
 )
-from .logistic import LogisticModel, freeze_fields, reliability_rows
+from .logistic import LogisticModel, freeze_fields, reliability_rows, score_rows
 
 DEFAULT_SEED = 0
 
@@ -192,11 +192,10 @@ def _header(path: Path, reader, label_column: str) -> tuple[int, int, tuple[str,
 
 
 def _parse_rows(path: Path, reader, width: int, label_index: int, feature_names: tuple[str, ...]):
-    """The feature cells (float64 in native byte order, NaN where missing)
-    and the labels of the records left in a CSV reader."""
-    cells = bytearray()
-    pack = struct.Struct(f"{len(feature_names)}d").pack
-    labels: list[int] = []
+    """The records left in a CSV reader as one float64 buffer in native byte
+    order: each record's feature cells (NaN where missing), then its label."""
+    rows = bytearray()
+    pack = struct.Struct(f"{len(feature_names) + 1}d").pack
     first_line = reader.line_num + 1  # a quoted field may hold line breaks
     try:
         for row in reader:
@@ -212,7 +211,6 @@ def _parse_rows(path: Path, reader, width: int, label_index: int, feature_names:
                 raise InvalidLabelError(f"{path}:{lineno}: missing label")
             if label not in (0.0, 1.0):
                 raise InvalidLabelError(f"{path}:{lineno}: label must be 0 or 1, got {text!r}")
-            labels.append(int(label))
             # a missing cell holds 0.0 until the row's sum has been checked
             values: list[float] = []
             missing: list[int] = []
@@ -229,25 +227,25 @@ def _parse_rows(path: Path, reader, width: int, label_index: int, feature_names:
                 _raise_at(path, lineno, feature_names, row)
             for j in missing:
                 values[j] = math.nan
-            cells += pack(*values)
+            rows += pack(*values, label)
     except csv.Error as exc:  # such as a field past the csv module's size limit
         raise MalformedRowError(f"{path}:{first_line}: {exc}") from None
-    return cells, labels
+    return rows
 
 
 def _read_stream(path: Path, label_column: str):
-    """The feature names, cells and labels of a CSV file, read in one pass."""
+    """The feature names and the ``_parse_rows`` buffer of a CSV file, read in one pass."""
     # utf-8-sig drops the byte order mark that spreadsheet exports put first
     with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         layout = _header(path, reader, label_column)
-        return (layout[2], *_parse_rows(path, reader, *layout))
+        return layout[2], _parse_rows(path, reader, *layout)
 
 
 def _read_rows(path: Path, label_column: str):
-    """The feature names, the feature cells (NaN where missing) and the
-    labels of a CSV file: from the block reader where the file is large
-    enough and the platform can fork, else, or when it fails, in one pass."""
+    """The feature names and the ``_parse_rows`` buffer of a CSV file: from
+    the block reader where the file is large enough and the platform can
+    fork, else, or when it fails, in one pass."""
     if hasattr(os, "fork") and path.stat().st_size >= 2 * BLOCK_BYTES:
         from .blocks import read_blocks  # compiled only where a file is this large
 
@@ -275,14 +273,15 @@ def load_dataset(
         raise FileNotFoundError(f"no such file: {path}")
 
     try:
-        feature_names, cells, labels = _read_rows(path, label_column)
+        feature_names, rows = _read_rows(path, label_column)
     except UnicodeDecodeError:
         raise MalformedRowError(f"{path}: not UTF-8 text") from None
 
-    if not labels:
+    if not rows:
         raise InvalidDimensionsError(f"{path}: no data rows")
     # a writable view of the row buffer, which nothing else holds: imputed in place
-    features = np.frombuffer(cells, dtype=float).reshape(len(labels), len(feature_names))
+    rows = np.frombuffer(rows, dtype=float).reshape(-1, len(feature_names) + 1)
+    features = rows[:, :-1]
     missing = np.isnan(features)
     if missing.any():
         if policy is MissingPolicy.REJECT_MISSING:
@@ -296,7 +295,7 @@ def load_dataset(
             raise AllMissingColumnError(f"{path}: column {name!r} has no observed values")
         mean_impute(features)
     try:
-        return Dataset(features=features, labels=np.asarray(labels), feature_names=feature_names)
+        return Dataset(features=features, labels=rows[:, -1], feature_names=feature_names)
     except InvalidDimensionsError as exc:
         raise InvalidDimensionsError(f"{path}: {exc}") from None
 
@@ -323,6 +322,25 @@ def compute_bounds(dataset: Dataset) -> Bounds:
     return Bounds(dataset.features.min(axis=0), dataset.features.max(axis=0))
 
 
+def score_extremes(model: LogisticModel, bounds: Bounds) -> tuple[np.ndarray, np.ndarray]:
+    """The box vertex of the largest score ``b0 + b . x``, and the scores at
+    it and at the vertex of the smallest, from one ``score_rows`` call.
+
+    Each slope's sign picks a vertex's side; a slope of 0 picks the lower
+    bound. The kernel sums correctly rounded products in column order, so
+    its float score is monotone in each ratio and every score in the box
+    lies between these two: all are finite exactly when both are. A
+    non-finite one is an InvalidDimensionsError, raised with no numpy warning.
+    """
+    rising = model.beta[1:] > 0
+    top = np.where(rising, bounds.upper, bounds.lower)
+    with np.errstate(all="ignore"):
+        scores = score_rows(model, [top, np.where(rising, bounds.lower, bounds.upper)])
+    if not np.isfinite(scores).all():
+        raise InvalidDimensionsError("the score b0 + b . x overflows the float range in the box")
+    return top, scores
+
+
 def generate_synthetic(
     n_features: int,
     m_rows: int,
@@ -336,7 +354,8 @@ def generate_synthetic(
     Bernoulli with success probability ``sigmoid(b0 + b . x)``, scored by
     ``reliability_rows``, the kernel the swarm uses. Deterministic given
     ``seed``: the feature matrix is drawn first (row-major), then one uniform
-    per row for the labels.
+    per row for the labels. A score that overflows the float range inside
+    ``feature_ranges`` is refused before any draw (``score_extremes``).
 
     Returns the dataset together with an (echoed) copy of the coefficients.
     """
@@ -354,9 +373,12 @@ def generate_synthetic(
     if not (feature_ranges.lower < feature_ranges.upper).all():
         raise InvalidDimensionsError("feature_ranges must have lower < upper in every dimension")
 
+    names = tuple(f"x{i + 1}" for i in range(n_features))
+    model = LogisticModel(beta, names)
+    score_extremes(model, feature_ranges)
+
     rng = np.random.default_rng(seed)
     features = rng.uniform(feature_ranges.lower, feature_ranges.upper, size=(m_rows, n_features))
-    names = tuple(f"x{i + 1}" for i in range(n_features))
-    probabilities = reliability_rows(LogisticModel(beta, names), features)
+    probabilities = reliability_rows(model, features)
     labels = (rng.random(m_rows) < probabilities).astype(int)
     return Dataset(features=features, labels=labels, feature_names=names), beta.copy()

@@ -99,14 +99,15 @@ class FitReport:
     ridge_used: float
 
 
-def reliability_rows(model: LogisticModel, rows) -> np.ndarray:
-    """Reliability of each row of an ``(m, n)`` block of ratio vectors.
+def score_rows(model: LogisticModel, rows) -> np.ndarray:
+    """The score ``b0 + x1*b1 + ... + xn*bn`` of each row of an ``(m, n)``
+    block of ratio vectors.
 
-    The score is accumulated in fixed column order, ``b0 + x1*b1 + ... +
-    xn*bn``, one elementwise operation per column, so a row's value is
-    bit-identical whatever block it is evaluated in: alone, in a chunk or in
-    a whole stacked swarm. A BLAS matrix-vector product would not be, since
-    its summation order depends on the block.
+    The score is accumulated in fixed column order, one elementwise operation
+    per column, so a row's value is bit-identical whatever block it is
+    evaluated in: alone, in a chunk or in a whole stacked swarm. A BLAS
+    matrix-vector product would not be, since its summation order depends on
+    the block.
     """
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2 or rows.shape[1] != model.n_features:
@@ -117,7 +118,14 @@ def reliability_rows(model: LogisticModel, rows) -> np.ndarray:
     t = np.full(rows.shape[0], intercept)
     for column, coefficient in zip(rows.T, coefficients):
         t += column * coefficient
-    return sigmoid(t)
+    return t
+
+
+def reliability_rows(model: LogisticModel, rows) -> np.ndarray:
+    """Reliability of each row of an ``(m, n)`` block of ratio vectors: the
+    ``sigmoid`` of its ``score_rows`` score, so bit-identical whatever block
+    the row is evaluated in."""
+    return sigmoid(score_rows(model, rows))
 
 
 def reliability(model: LogisticModel, x) -> float:
@@ -132,11 +140,6 @@ def reliability(model: LogisticModel, x) -> float:
             f"expected {model.n_features} features, got shape {x.shape}"
         )
     return float(reliability_rows(model, x[np.newaxis])[0])
-
-
-def _augmented(features: np.ndarray) -> np.ndarray:
-    # the intercept-augmented feature matrix [1, X]
-    return np.hstack([np.ones((features.shape[0], 1)), features])
 
 
 def _residuals(labels: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -182,16 +185,19 @@ def fit(dataset: Dataset) -> tuple[LogisticModel, FitReport]:
     spread = high / 2 - low / 2  # no overflow, and exactly 0 for a constant ratio
     center = low + spread
     spread[spread == 0] = 1.0
-    scaled = _augmented((dataset.features - center) / spread)
-    gamma = np.zeros(scaled.shape[1])
+    # the one intercept-augmented matrix: [1, (X - center) / spread] for Newton, [1, X] after
+    design = np.ones((dataset.n_rows, dataset.n_features + 1))
+    np.subtract(dataset.features, center, out=design[:, 1:])
+    design[:, 1:] /= spread
+    gamma = np.zeros(design.shape[1])
     signed = 2.0 * labels - 1.0
     ridge, iterations, converged = 0.0, 0, False
     while iterations < MAX_ITER and not converged:
-        t = scaled @ gamma
-        grad = scaled.T @ _residuals(labels, t) - ridge * gamma
+        t = design @ gamma
+        grad = design.T @ _residuals(labels, t) - ridge * gamma
         # p*(1-p) as sigmoid(t)*sigmoid(-t) stays positive until sigmoid(-|t|)
         # truly underflows, instead of hitting zero near |t|~37
-        curvature = (scaled.T * (sigmoid(t) * sigmoid(-t))) @ scaled
+        curvature = (design.T * (sigmoid(t) * sigmoid(-t))) @ design
         try:
             factor = np.linalg.cholesky(curvature + ridge * np.eye(gamma.size))
             if (factor.diagonal() ** 2 < COLLINEAR_PIVOT * curvature.diagonal()).any():
@@ -218,13 +224,13 @@ def fit(dataset: Dataset) -> tuple[LogisticModel, FitReport]:
         raise NonFiniteIterateError("a fitted slope overflows in its ratio's own units") from None
     beta = np.concatenate([[gamma[0] - slopes @ center], slopes])
     model = LogisticModel(beta=beta, feature_names=dataset.feature_names)
-    augmented = _augmented(dataset.features)
-    t = augmented @ model.beta
+    design[:, 1:] = dataset.features
+    t = design @ model.beta
     report = FitReport(
         converged=converged,
         iterations=iterations,
         final_log_likelihood=_log_likelihood(labels, t),
-        max_abs_gradient=float(np.abs(augmented.T @ _residuals(labels, t)).max()),
+        max_abs_gradient=float(np.abs(design.T @ _residuals(labels, t)).max()),
         ridge_used=float(ridge),
     )
     return model, report

@@ -20,15 +20,11 @@ from functools import partial
 
 import numpy as np
 
-from .data import Bounds, Dataset, compute_bounds
+from .data import Bounds, Dataset, compute_bounds, score_extremes
 from .errors import DimensionMismatchError
 from .logistic import FitReport, LogisticModel, _emit_json, fit, freeze_fields, model_payload
-from .logistic import reliability, reliability_rows
+from .logistic import reliability_rows, sigmoid
 from .pso import SwarmConfig, SwarmResult, check_box, maximize
-
-DEFAULT_N_RUNS = 25
-DEFAULT_N_PRESCRIPTIONS = 2
-DEFAULT_DISTINCTNESS_RADIUS = 0.05
 
 
 @dataclass(frozen=True)
@@ -37,10 +33,10 @@ class PipelineConfig:
     of ``swarm`` is ignored)."""
 
     swarm: SwarmConfig
-    n_runs: int = DEFAULT_N_RUNS
+    n_runs: int = 25
     base_seed: int = 0
-    n_prescriptions: int = DEFAULT_N_PRESCRIPTIONS
-    distinctness_radius: float = DEFAULT_DISTINCTNESS_RADIUS
+    n_prescriptions: int = 2
+    distinctness_radius: float = 0.05
 
     def __post_init__(self) -> None:
         if not 1 <= self.n_runs <= sys.maxsize:  # past it no list of runs can be indexed
@@ -100,14 +96,18 @@ def corner_optimum(model: LogisticModel, bounds: Bounds) -> CornerSolution:
     the sigmoid takes its ``1/(1 + e)`` branch, which is non-decreasing.
     Below 0.5 the ``e/(1 + e)`` branch is not, and a point an ulp inside
     the box can score an ulp above the vertex.
+
+    ``score_extremes`` gives the vertex and its score in one kernel call,
+    and refuses a box in which the score overflows the float range, so
+    stage 2 stops there, before any draw.
     """
     if bounds.n != model.n_features:
         raise DimensionMismatchError(
             f"model has {model.n_features} features, bounds have {bounds.n}"
         )
+    position, scores = score_extremes(model, bounds)
     signs = np.sign(model.beta[1:]).astype(int)
-    position = np.where(signs > 0, bounds.upper, bounds.lower)
-    return CornerSolution(position=position, value=reliability(model, position), active_signs=signs)
+    return CornerSolution(position=position, value=float(sigmoid(scores)[0]), active_signs=signs)
 
 
 def normalized_distance(a, b, bounds: Bounds) -> float:

@@ -24,16 +24,18 @@ from reliopt.data import (
     load_dataset,
     mean_impute,
     save_dataset,
+    score_extremes,
 )
 from reliopt.errors import (
     AllMissingColumnError,
+    DimensionMismatchError,
     InvalidDimensionsError,
     InvalidLabelError,
     MalformedRowError,
     MissingValuesRejectedError,
     UnknownLabelColumnError,
 )
-from reliopt.logistic import LogisticModel, sigmoid
+from reliopt.logistic import LogisticModel, score_rows, sigmoid
 from reliopt.pipeline import CornerSolution
 from reliopt.pso import SwarmResult
 
@@ -522,15 +524,19 @@ class TestBlockReader:
         _assert_no_child_left()
 
     def test_a_worker_output_cut_short_falls_back(self, tmp_path, monkeypatch, streamed, forked):
-        # a label that is no byte stops the worker after its count and cells,
-        # as a kill in the middle of its write would
+        # a worker's byte count promises one row more than it writes, as a
+        # kill in the middle of its write would leave it
         path = write_csv(tmp_path / "d.csv", "\n".join(_table_lines()) + "\n")
         _force_blocks(monkeypatch, path)
         parse_range, parent = blocks._parse_range, os.getpid()
 
+        class Overstated(bytearray):
+            def __len__(self):
+                return super().__len__() + 3 * 8
+
         def cut_short_in_workers(*args):
-            cells, labels = parse_range(*args)
-            return cells, labels + [256] if os.getpid() != parent else labels
+            rows = parse_range(*args)
+            return Overstated(rows) if os.getpid() != parent else rows
 
         monkeypatch.setattr(blocks, "_parse_range", cut_short_in_workers)
         ds = load_dataset(path, "label")
@@ -698,6 +704,7 @@ class TestGenerateSynthetic:
             (1, 1, [0.0, 0.0], 1),
             (2, 10, [0.0, 0.0], 2),  # beta too short
             (1, 10, [0.0, 0.0], 2),  # ranges wrong size
+            (2, 10, [1e308, 1e308, -1e308], 2),  # the score overflows in the box
         ],
     )
     def test_invalid_dimensions(self, n, m, beta, box_n):
@@ -714,6 +721,58 @@ class TestGenerateSynthetic:
         flat = Bounds(np.array([1.0]), np.array([1.0]))
         with pytest.raises(InvalidDimensionsError):
             generate_synthetic(1, 10, [0.0, 0.0], flat, seed=0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_score_extremes_bound_every_score_in_the_box(data):
+    # the refusal of stage 2 and gen rests on this: a box whose two extreme
+    # vertices score finite scores finite everywhere, so the swarm never
+    # meets an overflow in the kernel
+    n = data.draw(st.integers(1, 4))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    model = LogisticModel(data.draw(arrays(float, n + 1, elements=finite)), tuple("abcd"[:n]))
+    ends = data.draw(arrays(float, (2, n), elements=finite))
+    bounds = Bounds(ends.min(axis=0), ends.max(axis=0))
+    points = [[data.draw(st.floats(lo, hi)) for lo, hi in zip(bounds.lower, bounds.upper)]
+              for _ in range(4)]
+    try:
+        top, (high, low) = score_extremes(model, bounds)
+    except InvalidDimensionsError:
+        return
+    with np.errstate(over="raise", invalid="raise"):
+        scores = score_rows(model, points + [top])
+    assert (low <= scores).all() and (scores <= high).all()
+    assert scores[-1] == high
+
+
+# each builds a record from malformed input; the typed error it raises and its message
+MALFORMED = {
+    "Bounds with a NaN": (
+        lambda: Bounds([0.0, np.nan], [1.0, 1.0]), InvalidDimensionsError, "must be finite"),
+    "Dataset with 1-D features": (
+        lambda: Dataset(np.ones(3), [0, 1, 1], ("x",)), InvalidDimensionsError, "2-D"),
+    "Dataset with a wrong label count": (
+        lambda: Dataset(np.ones((3, 1)), [0, 1], ("x",)), InvalidDimensionsError,
+        "expected 3 labels"),
+    "Dataset with a NaN feature": (
+        lambda: Dataset([[0.0], [np.nan], [1.0]], [0, 1, 1], ("x",)), MalformedRowError,
+        "must be finite"),
+    "Dataset with a wrong name count": (
+        lambda: Dataset(np.ones((3, 1)), [0, 1, 1], ("x", "y")), InvalidDimensionsError,
+        "expected 1 feature names, got 2"),
+    "LogisticModel with a wrong beta length": (
+        lambda: LogisticModel([0.0, 1.0], ("x", "y")), DimensionMismatchError, "3 entries"),
+    "LogisticModel with a NaN": (
+        lambda: LogisticModel([0.0, np.nan], ("x",)), DimensionMismatchError, "must be finite"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_records_refuse_malformed_input(case):
+    build, error, message = MALFORMED[case]
+    with pytest.raises(error, match=message):
+        build()
 
 
 # each builds a record from the caller's array and returns the array it stored
