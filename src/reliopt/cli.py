@@ -241,15 +241,16 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 
 @contextmanager
-def _naming_data(settings: dict):
-    """A box of the CSV's ratios too wide to search names the CSV, as other data errors do."""
+def _naming(*paths):
+    """A box the swarm refuses, or a score that overflows in it, names the files
+    it comes from, as other data errors do."""
     try:
         yield
     except InvalidDimensionsError as exc:
-        raise InvalidDimensionsError(f"{settings['data']}: {exc}") from None
+        raise InvalidDimensionsError(f"{', '.join(map(str, paths))}: {exc}") from None
 
 
-def _bounds_from_args(args: argparse.Namespace, settings: dict, model) -> Bounds:
+def _bounds_from_args(args: argparse.Namespace, settings: dict, model, swarm) -> Bounds:
     if args.bounds is None:
         dataset = _load(settings)
         # bounds are matched to coefficients by position, so the columns must be the model's
@@ -258,11 +259,11 @@ def _bounds_from_args(args: argparse.Namespace, settings: dict, model) -> Bounds
                 f"{settings['data']} has ratios {list(dataset.feature_names)}, but "
                 f"{args.model} was fitted on {list(model.feature_names)}"
             )
-        with _naming_data(settings):
-            return check_box(compute_bounds(dataset), dataset.feature_names)
+        with _naming(settings["data"]):
+            return check_box(compute_bounds(dataset), swarm, dataset.feature_names)
     path = Path(args.bounds)
     try:
-        bounds = check_box(Bounds(**_read_json(path, _BOUNDS, "bounds")))
+        bounds = check_box(Bounds(**_read_json(path, _BOUNDS, "bounds")), swarm)
     except InvalidDimensionsError as exc:
         raise _UsageError(f"{path}: {exc}") from None
     if bounds.n != model.n_features:
@@ -279,8 +280,9 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         raise _UsageError("--model is required")
     pipeline_config = _pipeline_config(settings)
     model, fit_report = load_model(args.model)
-    bounds = _bounds_from_args(args, settings, model)
-    report = optimize_reliability(model, bounds, pipeline_config, fit_report=fit_report)
+    bounds = _bounds_from_args(args, settings, model, pipeline_config.swarm)
+    with _naming(args.model, settings["data"] if args.bounds is None else args.bounds):
+        report = optimize_reliability(model, bounds, pipeline_config, fit_report=fit_report)
     _emit_report(args, report, settings["out"])
     return 0
 
@@ -289,7 +291,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     settings = _settings(args)
     pipeline_config = _pipeline_config(settings)
     dataset = _load(settings)
-    with _naming_data(settings):
+    with _naming(settings["data"]):
         report = run_pipeline(dataset, pipeline_config)
     if args.model_out is not None:
         save_model(report.model, Path(args.model_out), report.fit_report)

@@ -103,21 +103,23 @@ def score_rows(model: LogisticModel, rows) -> np.ndarray:
     """The score ``b0 + x1*b1 + ... + xn*bn`` of each row of an ``(m, n)``
     block of ratio vectors.
 
-    The score is accumulated in fixed column order, one elementwise operation
-    per column, so a row's value is bit-identical whatever block it is
-    evaluated in: alone, in a chunk or in a whole stacked swarm. A BLAS
-    matrix-vector product would not be, since its summation order depends on
-    the block.
+    One multiply forms every product ``xj*bj``, each rounded once; the
+    products are then summed column by column in fixed order, ``b0`` first,
+    so a row's value is bit-identical whatever block it is evaluated in:
+    alone, in a chunk or in a whole stacked swarm. A BLAS matrix-vector
+    product would not be, since its summation order depends on the block.
     """
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2 or rows.shape[1] != model.n_features:
         raise DimensionMismatchError(
             f"expected rows of {model.n_features} features, got shape {rows.shape}"
         )
-    intercept, *coefficients = model.beta.tolist()
-    t = np.full(rows.shape[0], intercept)
-    for column, coefficient in zip(rows.T, coefficients):
-        t += column * coefficient
+    if not model.n_features:
+        return np.full(rows.shape[0], model.beta[0])
+    terms = rows * model.beta[1:]
+    t = terms[:, 0] + model.beta[0]  # b0 + x1*b1: IEEE addition commutes
+    for column in terms.T[1:]:
+        t += column
     return t
 
 

@@ -214,7 +214,7 @@ def optimize_reliability(
 def run_pipeline(dataset: Dataset, config: PipelineConfig) -> PrescriptionReport:
     """Both stages: fit on the entire dataset, then prescribe."""
     model, fit_report = fit(dataset)
-    bounds = check_box(compute_bounds(dataset), dataset.feature_names)
+    bounds = check_box(compute_bounds(dataset), config.swarm, dataset.feature_names)
     return optimize_reliability(model, bounds, config, fit_report=fit_report)
 
 

@@ -123,16 +123,18 @@ def maximize(
     group's positions as a C-contiguous float64 ``(runs*pop, n)`` block,
     which the next sweep overwrites: an objective that keeps its rows copies
     them. With ``ceiling=None`` it is the same block every sweep; as runs
-    retire, it is a new and smaller block of the live runs' rows.
+    retire, it is a new and smaller block of the live runs' rows. A sweep in
+    which no particle of the group beats its personal best changes no best,
+    so it only repeats each run's best in the history.
 
     Positions start uniform in the box and velocities in ``+-(upper - lower)``,
     placed as ``Generator.uniform`` places the same draws, after ``check_box``
-    has refused a box too wide for that. Zero-width dimensions, also ``0.0``
-    to ``-0.0``, stay pinned at their bound; every evaluated position is in the box.
-    A swarm array too big for any address space is a MemoryError before anything
-    is allocated.
+    has refused a box in which the start or a sweep would overflow. Zero-width
+    dimensions, also ``0.0`` to ``-0.0``, stay pinned at their bound; every
+    evaluated position is in the box. A swarm array too big for any address
+    space is a MemoryError before anything is allocated.
     """
-    check_box(bounds)
+    check_box(bounds, config)
     seeds = list(seeds)
     pop, sweeps = config.population_size, config.max_iterations
     group = max(1, STACK_FLOATS // (pop * bounds.n))
@@ -147,13 +149,32 @@ def maximize(
     return results
 
 
-def check_box(bounds: Bounds, names: Sequence[str] | None = None) -> Bounds:
-    """``bounds``, if each doubled width (the velocity range) is finite; halving avoids overflow.
-    A refusal names the dimension by its index or, given ``names``, by its column's name."""
-    wide = np.flatnonzero(bounds.upper / 2 - bounds.lower / 2 > np.finfo(float).max / 4)
-    if wide.size:
-        what = f"dimension {wide[0]}" if names is None else f"column {names[wide[0]]!r}"
-        raise InvalidDimensionsError(f"{what} is wider than half the largest float")
+def check_box(bounds: Bounds, config: SwarmConfig, names: Sequence[str] | None = None) -> Bounds:
+    """``bounds``, if every value a swarm of ``config`` computes in it is finite.
+
+    Three bounds must be finite: the doubled width, the start's velocity
+    range (compared in halves, so it cannot overflow); ``(w_start + c1 + c2)``
+    times the width, for ``|velocity|`` before the clamp; and the box's
+    largest magnitude plus the velocity clamp, for ``|position + velocity|``.
+    The last two are rounded as the sweep rounds, monotonely, so no sweep
+    value exceeds them. A refusal names the dimension by its index or, given
+    ``names``, by its column's name.
+    """
+
+    def refuse(bad, why):
+        if bad.any():
+            first = np.flatnonzero(bad)[0]
+            what = f"dimension {first}" if names is None else f"column {names[first]!r}"
+            raise InvalidDimensionsError(f"{what} {why}")
+
+    lower, upper = bounds.lower, bounds.upper
+    refuse(upper / 2 - lower / 2 > np.finfo(float).max / 4, "is wider than half the largest float")
+    span = bounds.span  # finite now
+    with np.errstate(over="ignore"):
+        velocity = config.w_start * span + config.c1 * span + config.c2 * span
+        position = np.maximum(abs(lower), abs(upper)) + config.velocity_clamp_fraction * span
+    refuse(velocity == np.inf, "is too wide for the swarm: a velocity overflows")
+    refuse(position == np.inf, "lies too far out for the swarm: a position overflows")
     return bounds
 
 
@@ -212,8 +233,10 @@ def _stacked(
                 seeds[place[r]], global_best[r, 0], float(history[r, -1]), sweeps, history[r]
             )
 
+    changed = True  # whether the last sweep raised a personal best; the start counts
     for sweep in range(sweeps):
-        if ceiling is not None and (done := history[:, sweep] >= ceiling).any():
+        # a run's best reaches the ceiling only in a sweep that raised it
+        if ceiling is not None and changed and (done := history[:, sweep] >= ceiling).any():
             # no later sweep can raise these runs' best: fix their results
             history[done, sweep + 1 :] = history[done, sweep, np.newaxis]
             finish(np.flatnonzero(done))
@@ -253,6 +276,12 @@ def _stacked(
 
         values = np.asarray(objective(block), dtype=float).reshape(runs, pop)
         improved = values > best_values
+        changed = improved.any()
+        if not changed:
+            # the bookkeeping below would recompute the leaders, bests and
+            # global bests already held, and gain nowhere
+            history[:, sweep + 1] = history[:, sweep]
+            continue
         np.copyto(best_positions, positions, where=improved[:, :, np.newaxis])
         np.copyto(best_values, values, where=improved)
         leader = np.argmax(best_values, axis=1)

@@ -2,7 +2,8 @@
 
 ``log_likelihood``, ``gradient`` and ``hessian`` are the log-likelihood and
 its derivatives in beta, written out from their formulas; only tests read
-them.
+them. ``reference_score_rows`` is the score as one multiply and one add per
+column: ``reliopt.logistic.score_rows`` must give the same bits.
 
 ``reference_load_dataset`` reads a CSV file with one parse call per feature
 cell and a numpy finiteness check on each value, and raises where the first
@@ -79,6 +80,17 @@ def hessian(model: LogisticModel, dataset: Dataset) -> np.ndarray:
     augmented, t = _augmented_score(model, dataset)
     h = -(augmented.T * (sigmoid(t) * sigmoid(-t))) @ augmented
     return (h + h.T) / 2.0
+
+
+def reference_score_rows(model: LogisticModel, rows) -> np.ndarray:
+    """``b0 + x1*b1 + ... + xn*bn`` per row, from ``b0``, adding each column's
+    product as it is formed."""
+    rows = np.asarray(rows, dtype=float)
+    intercept, *coefficients = model.beta.tolist()
+    t = np.full(rows.shape[0], intercept)
+    for column, coefficient in zip(rows.T, coefficients):
+        t += column * coefficient
+    return t
 
 
 def within(bounds: Bounds, x) -> bool:

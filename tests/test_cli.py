@@ -390,6 +390,14 @@ class TestOptimize:
             (b"[" * 100_000 + b"]" * 100_000, "not valid JSON (maximum recursion depth"),
             (b'{"lower": [-1e308, 1], "upper": [1e308, 3]}', _TOO_WIDE),
             (b'{"lower": [-5e307], "upper": [5e307]}', _TOO_WIDE),
+            (
+                b'{"lower": [8.988465674311579e+307], "upper": [1.7976931348623157e+308]}',
+                "dimension 0 is too wide for the swarm: a velocity overflows",
+            ),
+            (
+                b'{"lower": [1.7e308], "upper": [1.79e308]}',
+                "dimension 0 lies too far out for the swarm: a position overflows",
+            ),
             (b'{"lower": [' + b"1" * 4301 + b"]}", "not valid JSON (Exceeds the limit"),
             (b'{"lower": [0], "upper": [1]}', "lower and upper have length 1, but "),
             (b'{"lower": [], "upper": []}', "bounds need at least one dimension"),
@@ -397,7 +405,8 @@ class TestOptimize:
         ],
         ids=[
             "not json", "not utf-8", "lower above upper", "nested too deep",
-            "width overflows", "doubled width overflows", "integer past the digit limit",
+            "width overflows", "doubled width overflows", "velocity overflows",
+            "position overflows", "integer past the digit limit",
             "wrong length", "empty", "unequal lengths",
         ],
     )
@@ -405,7 +414,8 @@ class TestOptimize:
         # not-JSON used to exit 1; not-UTF-8 and deep nesting ended in a
         # traceback, and so did both boxes too wide for the swarm, in numpy's
         # uniform (the second at the velocity draw over +-width); a wrong
-        # length exited 1 naming no file
+        # length exited 1 naming no file; the boxes where a sweep's velocity or
+        # position overflows exited 0 under numpy's overflow warnings
         bounds_path = tmp_path / "bounds.json"
         bounds_path.write_bytes(body)
         capsys.readouterr()
@@ -468,7 +478,25 @@ class TestOptimize:
         assert done.returncode == 1
         assert done.stdout == ""
         assert not out.exists()
-        assert done.stderr == "error: the score b0 + b . x overflows the float range in the box\n"
+        assert done.stderr == (
+            f"error: {model_path}, {bounds_path}: "
+            "the score b0 + b . x overflows the float range in the box\n"
+        )
+
+    def test_score_overflowing_in_the_data_box_names_both_files(self, tmp_path, capsys):
+        model_path = tmp_path / "model.json"
+        model_path.write_text('{"feature_names": ["a", "b"], "beta": [0, 1e308, -1e308]}')
+        path = write_csv(tmp_path / "data.csv", "a,b,label\n1,1,0\n3,3,1\n2,1,0\n1,3,1\n")
+        capsys.readouterr()
+        code = run_cli(
+            "optimize", "--model", str(model_path), "--data", path, "--label", "label",
+            "--pop", "4", "--iters", "2", "--runs", "2",
+        )
+        assert code == 1
+        assert assert_single_error(capsys) == (
+            f"error: {model_path}, {path}: "
+            "the score b0 + b . x overflows the float range in the box"
+        )
 
 
 class TestPipeline:
@@ -543,6 +571,29 @@ class TestPipeline:
         )
         assert code == 1
         assert assert_single_error(capsys) == f"error: {path}: {_WIDE_A}"
+
+    @pytest.mark.parametrize("command", ["pipeline", "optimize"])
+    def test_data_box_where_a_sweep_overflows_exit_1(self, tmp_path, capsys, command):
+        # a box of half the float maximum to the maximum, where a sweep's
+        # velocity and position overflow: optimize exited 0 under numpy's
+        # overflow warnings
+        path = write_csv(
+            tmp_path / "far.csv",
+            "a,label\n8.988465674311579e+307,0\n1.7976931348623157e+308,1\n"
+            "1e308,0\n1.5e308,1\n",
+        )
+        model_path = tmp_path / "model.json"
+        model_path.write_text('{"feature_names": ["a"], "beta": [0, -1]}')
+        capsys.readouterr()
+        model = ["--model", str(model_path)] if command == "optimize" else []
+        code = run_cli(
+            command, *model, "--data", path, "--label", "label",
+            "--pop", "4", "--iters", "2", "--runs", "2",
+        )
+        assert code == 1
+        assert assert_single_error(capsys) == (
+            f"error: {path}: column 'a' is too wide for the swarm: a velocity overflows"
+        )
 
     def test_report_json_is_rendered_only_when_written(self, synth_csv, capsys, monkeypatch):
         def refuse(report):

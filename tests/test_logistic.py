@@ -1,5 +1,6 @@
 import json
 import math
+import operator
 import re
 
 import numpy as np
@@ -26,11 +27,12 @@ from reliopt.logistic import (
     model_to_json,
     reliability,
     reliability_rows,
+    score_rows,
     sigmoid,
 )
 
 from conftest import duplicated_large_column_dataset
-from oracles import gradient, hessian, log_likelihood
+from oracles import gradient, hessian, log_likelihood, reference_score_rows
 
 
 def make_model(*beta, names=None):
@@ -150,6 +152,27 @@ class TestReliabilityKernel:
         cut = int(rng.integers(1, m + 1))
         chunks = [reliability_rows(model, rows[i : i + cut]) for i in range(0, m, cut)]
         assert np.array_equal(block, np.concatenate(chunks))
+
+    @given(n=st.integers(1, 9), m=st.integers(1, 5), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_score_matches_the_column_loop_bit_for_bit(self, n, m, data):
+        # one multiply for every product, then the columns summed in order:
+        # the same bits as a multiply and an add per column. The numbers carry
+        # full 53-bit significands on one scale per example, so the sums round:
+        # rows near 1e-15, 1e300 or among the subnormals, with signed zeros,
+        # and slopes that may take a product past the float maximum
+        def numbers(count, exponents):
+            low = data.draw(st.sampled_from(exponents))
+            exponent = st.integers(low, low + 4)
+            scaled = st.builds(math.ldexp, st.integers(2**52, 2**53 - 1), exponent)
+            magnitude = scaled | scaled | scaled | st.sampled_from([0.0, 5e-324])
+            signed = st.builds(operator.mul, st.sampled_from([-1.0, 1.0]), magnitude)
+            return data.draw(st.lists(signed, min_size=count, max_size=count))
+
+        model = make_model(*numbers(n + 1, [-100, -52, 945]))
+        rows = np.array(numbers(m * n, [-100, 945, -1126])).reshape(m, n)
+        with np.errstate(all="ignore"):
+            assert score_rows(model, rows).tobytes() == reference_score_rows(model, rows).tobytes()
 
     def test_matches_sigmoid_of_the_column_order_score(self):
         model = make_model(0.5, -1.0, 2.0)

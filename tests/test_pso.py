@@ -1,3 +1,4 @@
+import math
 import operator
 import sys
 from functools import partial
@@ -17,7 +18,7 @@ from reliopt.pso import SwarmConfig, maximize
 from oracles import position_update, reference_maximize, velocity_update, within
 
 SIGMA_2 = 0.8807970779778823  # logistic function at +2
-HALF_MAX = np.finfo(float).max / 2  # the widest box check_box accepts
+HALF_MAX = np.finfo(float).max / 2  # no box wider than this passes check_box
 
 
 def unit_box(n):
@@ -30,6 +31,11 @@ def sphere(rows):
     for column in rows.T:
         total -= (column - 0.5) ** 2
     return total
+
+
+def nearest_the_origin(rows):
+    # exact at every scale, so it never overflows
+    return -np.abs(rows).max(axis=1)
 
 
 def counted(objective, calls):
@@ -173,6 +179,63 @@ class TestConfigValidation:
         defaults.update(kw)
         with pytest.raises(ValueError):
             SwarmConfig(**defaults)
+
+
+class TestCheckBox:
+    """check_box refuses, before any draw, every box in which a sweep overflows."""
+
+    @pytest.mark.parametrize(
+        "lower, upper, why",
+        [
+            # the velocity before the clamp reaches (0.9 + 2 + 2) * the width
+            (8.988465674311579e307, 1.7976931348623157e308, "is too wide for the swarm"),
+            # a narrow box whose position plus velocity passes the float maximum
+            (1.7e308, 1.79e308, "lies too far out for the swarm"),
+            (-1.79e308, -1.7e308, "lies too far out for the swarm"),
+        ],
+    )
+    def test_refuses_a_box_where_a_sweep_overflows(self, lower, upper, why):
+        bounds = Bounds(np.array([0.0, lower]), np.array([1.0, upper]))
+        with pytest.raises(InvalidDimensionsError, match=f"^column 'b' {why}"):
+            pso.check_box(bounds, swarm(4, 3), names=("a", "b"))
+
+    @pytest.mark.parametrize("lower, upper", [(-HALF_MAX / 5, HALF_MAX / 5), (1.7e308, 1.7e308)])
+    def test_accepts_a_box_at_the_edge(self, lower, upper):
+        bounds = Bounds(np.array([lower]), np.array([upper]))
+        assert pso.check_box(bounds, swarm(4, 3)) is bounds
+        with np.errstate(over="raise", invalid="raise"):
+            maximize(nearest_the_origin, bounds, swarm(4, 3), range(3))
+
+    @given(
+        n=st.integers(1, 3),
+        c1=st.sampled_from([0.0, 2.0]) | st.floats(0, 10),
+        c2=st.sampled_from([0.0, 2.0]) | st.floats(0, 10),
+        w_start=st.sampled_from([0.9]) | st.floats(0, 1),
+        clamp=st.sampled_from([1.0]) | st.floats(1e-3, 1),
+        data=st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_every_box_it_accepts_sweeps_without_a_float_error(
+        self, n, c1, c2, w_start, clamp, data
+    ):
+        # magnitudes from 2**1016 to the float maximum, where the refusals lie
+        magnitude = st.sampled_from([0.0, 1.0]) | st.floats(1016, 1024).map(
+            lambda e: min(2.0**e if e < 1024 else math.inf, sys.float_info.max)
+        )
+        signed = st.builds(operator.mul, st.sampled_from([-1.0, 1.0]), magnitude)
+        lower = data.draw(st.lists(signed, min_size=n, max_size=n))
+        widths = data.draw(st.lists(magnitude, min_size=n, max_size=n))
+        upper = [low + width for low, width in zip(lower, widths)]
+        assume(all(math.isfinite(high) for high in upper))
+        bounds = Bounds(np.array(lower), np.array(upper))
+        config = swarm(4, 3, c1=c1, c2=c2, w_start=w_start, w_end=0.0,
+                       velocity_clamp_fraction=clamp)
+        try:
+            pso.check_box(bounds, config)
+        except InvalidDimensionsError:
+            reject()
+        with np.errstate(over="raise", invalid="raise"):
+            maximize(nearest_the_origin, bounds, config, range(3))
 
 
 class TestMaximize:
@@ -438,9 +501,10 @@ class TestReferenceSweep:
     @settings(max_examples=200, deadline=None)
     def test_start_matches_numpys_uniform_at_every_scale(self, n, pop, seeds, data):
         # the reference starts with Generator.uniform; lower bounds and widths
-        # run log-uniformly from the smallest subnormal to the widest box
-        # check_box accepts, with zero widths at either signed zero (a lower
-        # 0.0 over an upper -0.0 makes numpy's uniform raise)
+        # run log-uniformly from the smallest subnormal to half the float
+        # maximum, with zero widths at either signed zero (a lower 0.0 over an
+        # upper -0.0 makes numpy's uniform raise); only the boxes check_box
+        # accepts are drawn
         magnitude = st.floats(-1074, 1023).map(lambda e: min(2.0**e, HALF_MAX))
         sign = st.sampled_from([-1.0, 1.0])
         lower = data.draw(
@@ -454,25 +518,15 @@ class TestReferenceSweep:
         )
         upper = [low if width is None else low + width for low, width in zip(lower, widths)]
         bounds = Bounds(np.array(lower), np.array(upper))
-        try:
-            pso.check_box(bounds)
-        except InvalidDimensionsError:
-            reject()  # rounding took the width past half the float maximum
-
-        def nearest_the_origin(rows):
-            # exact at every scale, so it never overflows
-            return -np.abs(rows).max(axis=1)
-
         config = swarm(pop, 1)
-        # at such widths the first sweep's velocity or position may overflow
-        # to +-inf, which the clamps return to the box (an overflow check_box
-        # does not refuse yet); both sweeps take the same steps, so their
-        # bits still compare
-        with np.errstate(over="ignore"):
-            results, evaluated = recorded(maximize, nearest_the_origin, bounds, config, seeds)
-            expected, evaluated_expected = recorded(
-                reference_maximize, nearest_the_origin, bounds, config, seeds
-            )
+        try:
+            pso.check_box(bounds, config)
+        except InvalidDimensionsError:
+            reject()  # a velocity or a position of the sweep could overflow
+        results, evaluated = recorded(maximize, nearest_the_origin, bounds, config, seeds)
+        expected, evaluated_expected = recorded(
+            reference_maximize, nearest_the_origin, bounds, config, seeds
+        )
         assert same_bits(evaluated, evaluated_expected)
         for got, want in zip(results, expected):
             assert same_bits(got.best_position, want.best_position)
@@ -565,6 +619,43 @@ class TestCeiling:
         assert calls[-1][0] < calls[0][0] == pop * runs
         assert any(run.best_value == corner.value for run in retired)
         same_results(retired, maximize(partial(reliability_rows, model), bounds, config, range(runs)))
+
+    @pytest.mark.parametrize("retire", [False, True])
+    def test_long_stall_matches_reference_bit_for_bit(self, retire):
+        # sweeps that raise no personal best skip the bookkeeping, and the
+        # ceiling is tested only after one that raised some
+        model, bounds = paper_like_problem()
+        corner = corner_optimum(model, bounds)
+        objective = partial(reliability_rows, model)
+        pop, iters, runs = 30, 200, 25
+        config = swarm(pop, iters)
+        blocks = []
+
+        def recording(rows):
+            blocks.append(rows.copy())
+            return objective(rows)
+
+        results = maximize(
+            recording, bounds, config, range(runs), ceiling=corner.value if retire else None
+        )
+        expected, evaluated = recorded(reference_maximize, objective, bounds, config, range(runs))
+        same_results(results, expected)
+        # each sweep evaluates the rows of the runs still live, in seed order
+        history = np.stack([run.history for run in expected])
+        live = history < corner.value if retire else np.ones(history.shape, dtype=bool)
+        per_run = evaluated.reshape(iters + 1, runs, pop, bounds.n)
+        want = [evaluated[0]] + [
+            per_run[k, live[:, k - 1]].reshape(-1, bounds.n)
+            for k in range(1, iters + 1) if live[:, k - 1].any()
+        ]
+        assert len(blocks) == len(want)
+        assert all(same_bits(got, rows) for got, rows in zip(blocks, want))
+        # a run below the corner gains nothing over its last 100 sweeps or more
+        assert ((history[:, -1] < corner.value) & (history[:, -101] == history[:, -1])).any()
+        # and in at least 100 sweeps no live particle beats its personal best
+        values = np.stack([objective(rows) for rows in evaluated]).reshape(iters + 1, runs, pop)
+        raised = values[1:] > np.maximum.accumulate(values, axis=0)[:-1]
+        assert (~(raised.any(axis=2) & live[:, :-1].T).any(axis=1)).sum() >= 100
 
     def test_group_ends_when_every_run_is_retired(self):
         # a zero slope: every position scores the corner's value, so every
