@@ -159,7 +159,6 @@ def _pipeline_config(settings: dict) -> PipelineConfig:
             swarm=SwarmConfig(
                 population_size=settings["pop"],
                 max_iterations=settings["iters"],
-                seed=0,  # replaced per run by the ensemble
                 **{name: settings[name] for name in _SWARM},
             ),
             n_runs=settings["runs"],

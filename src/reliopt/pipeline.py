@@ -24,13 +24,12 @@ from .data import Bounds, Dataset, compute_bounds, score_extremes
 from .errors import DimensionMismatchError
 from .logistic import FitReport, LogisticModel, _emit_json, fit, freeze_fields, model_payload
 from .logistic import reliability_rows, sigmoid
-from .pso import SwarmConfig, SwarmResult, check_box, maximize
+from .pso import SwarmConfig, SwarmResult, check_box, integers, maximize
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Ensemble settings; run i uses seed ``base_seed + i`` (the seed field
-    of ``swarm`` is ignored)."""
+    """Ensemble settings; run i uses seed ``base_seed + i``."""
 
     swarm: SwarmConfig
     n_runs: int = 25
@@ -39,6 +38,8 @@ class PipelineConfig:
     distinctness_radius: float = 0.05
 
     def __post_init__(self) -> None:
+        if not integers(self.n_runs, self.base_seed, self.n_prescriptions):
+            raise ValueError("n_runs, base_seed and n_prescriptions must be integers")
         if not 1 <= self.n_runs <= sys.maxsize:  # past it no list of runs can be indexed
             raise ValueError(f"n_runs must be from 1 to {sys.maxsize}")
         if not (0 <= self.n_prescriptions <= self.n_runs):
@@ -234,7 +235,7 @@ def report_to_json(report: PrescriptionReport) -> str:
         "prescriptions": [_record(p) for p in report.prescriptions],
         "warnings": list(report.warnings),
         "config": {
-            **_record(report.config.swarm, skip="seed"),
+            **_record(report.config.swarm),
             **_record(report.config, skip="swarm"),
         },
     }

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import sys
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -39,7 +39,7 @@ class SwarmConfig:
 
     population_size: int
     max_iterations: int
-    seed: int
+    seed: InitVar[int | None] = None  # ignored; kept third for positional callers
     c1: float = 2.0
     c2: float = 2.0
     w_start: float = 0.9
@@ -47,7 +47,9 @@ class SwarmConfig:
     velocity_clamp_fraction: float = 1.0
     scalar_rand: bool = False
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, seed: int | None) -> None:
+        if not integers(self.population_size, self.max_iterations):
+            raise ValueError("population_size and max_iterations must be integers")
         weights = (self.c1, self.c2, self.w_start, self.w_end, self.velocity_clamp_fraction)
         if not all(math.isfinite(w) for w in weights):
             raise ValueError("c1, c2, w_start, w_end and velocity_clamp_fraction must be finite")
@@ -62,6 +64,11 @@ class SwarmConfig:
             raise ValueError("need w_start >= w_end >= 0")
         if not (0 < self.velocity_clamp_fraction <= 1):
             raise ValueError("velocity_clamp_fraction must be in (0, 1]")
+
+
+def integers(*values) -> bool:
+    """Whether every value is a Python or numpy integer; a bool is not one."""
+    return all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,7 +104,9 @@ def maximize(
 
     ``objective`` is a batch objective: it maps an ``(m, n)`` block of
     positions to their ``(m,)`` values, and a row's value must not depend on
-    the block it comes in. Results come back in seed order.
+    the block it comes in. Results come back in seed order. A best rises only
+    to a value above it, never to a NaN; a run whose start scores nothing
+    above ``-inf`` has best ``-inf`` at its first particle's start.
 
     ``ceiling``, if given, must be a value that no position in the box
     scores above, such as the exact maximum. A run whose best reaches it is
@@ -123,9 +132,7 @@ def maximize(
     group's positions as a C-contiguous float64 ``(runs*pop, n)`` block,
     which the next sweep overwrites: an objective that keeps its rows copies
     them. With ``ceiling=None`` it is the same block every sweep; as runs
-    retire, it is a new and smaller block of the live runs' rows. A sweep in
-    which no particle of the group beats its personal best changes no best,
-    so it only repeats each run's best in the history.
+    retire, it is a new and smaller block of the live runs' rows.
 
     Positions start uniform in the box and velocities in ``+-(upper - lower)``,
     placed as ``Generator.uniform`` places the same draws, after ``check_box``
@@ -195,15 +202,13 @@ def _stacked(
     positions = bounds.lower + span * start[:, 0]
     velocities = 2 * span * start[:, 1] - span
 
-    block = positions.reshape(runs * pop, n)
-    run = np.arange(runs)
+    # the start is evaluation 0: each best starts at -inf, led by the first particle
     best_positions = positions.copy()
-    best_values = np.array(objective(block), dtype=float).reshape(runs, pop)
-    leader = np.argmax(best_values, axis=1)
-    global_best = full(best_positions[run, leader][:, np.newaxis])
+    best_values = np.full((runs, pop), -np.inf)
+    best = np.full(runs, -np.inf)
+    global_best = full(positions[:, :1])
     sweeps = config.max_iterations
     history = np.empty((runs, sweeps + 1))  # one row per run
-    history[:, 0] = best_values[run, leader]
 
     lower, upper = full(bounds.lower), full(bounds.upper)
     v_max = full(config.velocity_clamp_fraction * span)
@@ -222,7 +227,6 @@ def _stacked(
             np.minimum(values, high, out=values)
 
     rand = np.empty((runs, pop, 2, 1 if config.scalar_rand else n))
-    r1, r2 = rand[:, :, 0, :], rand[:, :, 1, :]
     weights = np.broadcast_to(np.array([[config.c1], [config.c2]]), rand.shape).copy()
     results: dict[int, SwarmResult] = {}
     place = np.arange(runs)  # each live run's index in seeds
@@ -233,62 +237,57 @@ def _stacked(
                 seeds[place[r]], global_best[r, 0], float(history[r, -1]), sweeps, history[r]
             )
 
-    changed = True  # whether the last sweep raised a personal best; the start counts
-    for sweep in range(sweeps):
+    for sweep in range(sweeps + 1):
+        values = np.asarray(objective(positions.reshape(runs * pop, n)), float).reshape(runs, pop)
+        improved = values > best_values
+        # a sweep that raises no personal best would only recompute the
+        # leaders, bests and global bests already held
+        if changed := improved.any():
+            np.copyto(best_positions, positions, where=improved[:, :, np.newaxis])
+            np.copyto(best_values, values, where=improved)
+            run = np.arange(runs)
+            leader = np.argmax(best_values, axis=1)
+            top = best_values[run, leader]
+            gained = top > best
+            np.copyto(best, top, where=gained)
+            global_best[gained] = best_positions[run[gained], leader[gained]][:, np.newaxis]
+        history[:, sweep] = best
+        if sweep == sweeps:
+            break
         # a run's best reaches the ceiling only in a sweep that raised it
-        if ceiling is not None and changed and (done := history[:, sweep] >= ceiling).any():
+        if ceiling is not None and changed and (done := best >= ceiling).any():
             # no later sweep can raise these runs' best: fix their results
-            history[done, sweep + 1 :] = history[done, sweep, np.newaxis]
+            history[done, sweep + 1 :] = best[done, np.newaxis]
             finish(np.flatnonzero(done))
             live = ~done
             rngs = [rng for rng, keep in zip(rngs, live) if keep]
             runs = len(rngs)
             if not runs:
                 break
-            positions, velocities, best_positions, best_values, global_best, history, place = (
+            positions, velocities, best_positions, best_values, best, global_best = (
                 state[live]
-                for state in (
-                    positions, velocities, best_positions, best_values, global_best, history, place
-                )
+                for state in (positions, velocities, best_positions, best_values, best, global_best)
             )
+            history, place = history[live], place[live]
             # alike for every run, or scratch: their first rows serve as views,
             # so these copy nothing and the peak memory stays where it was
             lower, upper, v_max, v_min, pull, rand, weights = (
                 state[:runs] for state in (lower, upper, v_max, v_min, pull, rand, weights)
             )
-            block = positions.reshape(runs * pop, n)
-            run = np.arange(runs)
-            r1, r2 = rand[:, :, 0, :], rand[:, :, 1, :]
         w = config.w_start + (config.w_end - config.w_start) * (sweep / max(sweeps - 1, 1))
         for rng, draws in zip(rngs, rand):
             rng.random(out=draws)
         rand *= weights  # c1*r1 and c2*r2
         velocities *= w
         np.subtract(best_positions, positions, out=pull)
-        pull *= r1
+        pull *= rand[:, :, 0]
         velocities += pull
         np.subtract(global_best, positions, out=pull)
-        pull *= r2
+        pull *= rand[:, :, 1]
         velocities += pull
         clamp(velocities, v_min, v_max)
         positions += velocities
         clamp(positions, lower, upper)
-
-        values = np.asarray(objective(block), dtype=float).reshape(runs, pop)
-        improved = values > best_values
-        changed = improved.any()
-        if not changed:
-            # the bookkeeping below would recompute the leaders, bests and
-            # global bests already held, and gain nowhere
-            history[:, sweep + 1] = history[:, sweep]
-            continue
-        np.copyto(best_positions, positions, where=improved[:, :, np.newaxis])
-        np.copyto(best_values, values, where=improved)
-        leader = np.argmax(best_values, axis=1)
-        top = best_values[run, leader]
-        gained = top > history[:, sweep]
-        history[:, sweep + 1] = np.where(gained, top, history[:, sweep])
-        global_best[gained] = best_positions[run[gained], leader[gained]][:, np.newaxis]
 
     finish(range(runs))
     return [results[i] for i in range(len(seeds))]

@@ -140,7 +140,7 @@ def test_04_swarm_reaches_corner_oracle():
                 (result,) = maximize(
                     partial(reliability_rows, model),
                     bounds,
-                    SwarmConfig(population_size=50, max_iterations=500, seed=seed),
+                    SwarmConfig(population_size=50, max_iterations=500),
                     [seed],
                 )
                 assert result.best_value <= corner.value
@@ -166,7 +166,7 @@ def pipeline_fixture():
     box = Bounds(np.zeros(9), np.ones(9))
     dataset, _ = generate_synthetic(9, 250, np.linspace(-2, 2, 10), box, seed=42)
     config = PipelineConfig(
-        swarm=SwarmConfig(population_size=20, max_iterations=3, seed=0),
+        swarm=SwarmConfig(population_size=20, max_iterations=3),
         n_runs=25,
         base_seed=7,
     )
@@ -190,7 +190,7 @@ def test_07_dominance_chain(pipeline_fixture):
         rescaled = Dataset(dataset.features * units, dataset.labels, dataset.feature_names)
         for data, iters in itertools.product((dataset, rescaled), (3, 40)):
             cfg = PipelineConfig(
-                swarm=SwarmConfig(population_size=20, max_iterations=iters, seed=0),
+                swarm=SwarmConfig(population_size=20, max_iterations=iters),
                 n_runs=10,
                 base_seed=config.base_seed,
             )
@@ -215,7 +215,7 @@ def test_08_premature_convergence_yields_interior_prescriptions():
             dataset, _ = generate_synthetic(n, 300, rng.uniform(-2, 2, n + 1), box, seed=case_seed)
             pop, iters = [(20, 3), (25, 5)][case_seed % 2]
             config = PipelineConfig(
-                swarm=SwarmConfig(population_size=pop, max_iterations=iters, seed=0),
+                swarm=SwarmConfig(population_size=pop, max_iterations=iters),
                 n_runs=25,
                 base_seed=case_seed * 100,
             )

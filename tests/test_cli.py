@@ -1027,7 +1027,7 @@ from reliopt import optimize_reliability
 rng = np.random.default_rng(0)
 ds = Dataset(rng.normal(size=(20, 2)), [0, 1] * 10, ("a", "b"))
 model, _ = fit(ds)
-swarm = SwarmConfig(population_size=4, max_iterations=2, seed=0)
+swarm = SwarmConfig(population_size=4, max_iterations=2)
 optimize_reliability(model, compute_bounds(ds), PipelineConfig(swarm=swarm, n_runs=2))
 print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
 """

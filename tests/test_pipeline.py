@@ -3,6 +3,7 @@ import json
 import sys
 from dataclasses import replace
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reliopt import pipeline, pso
-from reliopt.data import Bounds, Dataset, compute_bounds, generate_synthetic, load_dataset
+from reliopt.data import (
+    Bounds,
+    Dataset,
+    compute_bounds,
+    generate_synthetic,
+    load_dataset,
+    save_dataset,
+)
 from reliopt.errors import InvalidDimensionsError
 from reliopt.logistic import (
     LogisticModel,
@@ -46,7 +54,7 @@ def synthetic():
 
 def pipeline_config(pop=20, iters=3, runs=25, base_seed=0, **kw):
     return PipelineConfig(
-        swarm=SwarmConfig(population_size=pop, max_iterations=iters, seed=0),
+        swarm=SwarmConfig(population_size=pop, max_iterations=iters),
         n_runs=runs,
         base_seed=base_seed,
         **kw,
@@ -428,9 +436,44 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             pipeline_config(**kw)
 
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            {"runs": 2.0},  # accepted, then a TypeError from the sweep
+            {"base_seed": 1.5},
+            {"n_prescriptions": 1.5},  # gave 2 prescriptions, and no warning
+            {"runs": np.float64(2)},
+            {"n_prescriptions": True},
+        ],
+    )
+    def test_rejects_counts_that_are_not_integers(self, kw):
+        with pytest.raises(ValueError, match="must be integers"):
+            pipeline_config(**kw)
+
+    def test_accepts_numpy_integers(self, synthetic):
+        counts = dict(runs=np.int64(2), base_seed=np.int32(4), n_prescriptions=np.int8(1))
+        report = run_pipeline(synthetic, pipeline_config(**counts))
+        assert [run.seed for run in report.ensemble] == [4, 5]
+
     def test_optimize_against_existing_model(self, synthetic):
         model, _ = fit(synthetic)
         bounds = compute_bounds(synthetic)
         report = optimize_reliability(model, bounds, pipeline_config(runs=2))
         assert report.fit_report is None
         assert report.corner.value == corner_optimum(model, bounds).value
+
+
+class TestReadme:
+    def test_library_example_runs_as_written(self, tmp_path, monkeypatch, capsys):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        library = readme.split("\n## Library\n", 1)[1]
+        code = library.split("```python\n", 1)[1].split("\n```", 1)[0]
+        box = Bounds(np.zeros(9), np.ones(9))
+        dataset, _ = generate_synthetic(9, 200, np.linspace(-2, 2, 10), box, seed=5)
+        save_dataset(dataset, tmp_path / "banks.csv")
+        monkeypatch.chdir(tmp_path)
+        namespace = {}
+        exec(compile(code, "README.md", "exec"), namespace)
+        report = namespace["report"]
+        assert [run.seed for run in report.ensemble] == list(range(7, 32))
+        assert capsys.readouterr().out.splitlines()[0] == str(report.corner.value)

@@ -1,6 +1,7 @@
 import math
 import operator
 import sys
+from dataclasses import fields, replace
 from functools import partial
 
 import numpy as np
@@ -49,8 +50,7 @@ def counted(objective, calls):
 
 
 def swarm(pop, iters, **kw):
-    # maximize takes its seeds as an argument; the config's seed is not read
-    return SwarmConfig(population_size=pop, max_iterations=iters, seed=0, **kw)
+    return SwarmConfig(population_size=pop, max_iterations=iters, **kw)
 
 
 class TestVelocityUpdate:
@@ -175,10 +175,51 @@ class TestConfigValidation:
         ],
     )
     def test_rejects_bad_values(self, kw):
-        defaults = dict(population_size=10, max_iterations=5, seed=0)
+        defaults = dict(population_size=10, max_iterations=5)
         defaults.update(kw)
         with pytest.raises(ValueError):
             SwarmConfig(**defaults)
+
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            {"max_iterations": 2.5},  # accepted, then a TypeError from the sweep
+            {"population_size": 4.0},
+            {"max_iterations": np.float64(3)},
+            {"max_iterations": True},
+        ],
+    )
+    def test_rejects_counts_that_are_not_integers(self, kw):
+        defaults = dict(population_size=10, max_iterations=5)
+        defaults.update(kw)
+        with pytest.raises(ValueError, match="must be integers"):
+            SwarmConfig(**defaults)
+
+    def test_accepts_numpy_integers(self):
+        config = SwarmConfig(population_size=np.int64(4), max_iterations=np.int32(2))
+        (result,) = maximize(sphere, unit_box(2), config, [0])
+        assert len(result.history) == 3
+
+
+class TestSeedlessConfig:
+    """SwarmConfig keeps no seed: maximize takes each run's seed."""
+
+    def test_seed_is_not_a_field(self):
+        assert "seed" not in {f.name for f in fields(SwarmConfig)}
+
+    def test_a_passed_seed_is_ignored(self):
+        # the call the benchmark's operation makes
+        passed = SwarmConfig(population_size=30, max_iterations=200, seed=0)
+        assert passed == SwarmConfig(population_size=30, max_iterations=200)
+        assert SwarmConfig(4, 2, 0) == SwarmConfig(4, 2, 1)
+        assert hash(SwarmConfig(4, 2, 0)) == hash(SwarmConfig(4, 2, 1))
+
+    def test_third_positional_argument_is_still_the_seed(self):
+        assert SwarmConfig(30, 200, 0).c1 == 2.0
+
+    def test_replace(self):
+        config = replace(SwarmConfig(4, 2, c1=1.5), max_iterations=3)
+        assert config == SwarmConfig(4, 3, c1=1.5)
 
 
 class TestCheckBox:
@@ -352,6 +393,38 @@ class TestMaximize:
         (result,) = maximize(sphere, unit_box(2), swarm(5, 5), [0])
         with pytest.raises(ValueError):
             result.best_position[0] = 9.9
+
+    def test_objective_minus_inf_everywhere_keeps_the_first_particles_start(self):
+        blocks = []
+
+        def nowhere(rows):
+            blocks.append(rows.copy())
+            return np.full(len(rows), -np.inf)
+
+        results = maximize(nowhere, unit_box(3), swarm(6, 4), range(3))
+        for r, result in enumerate(results):
+            assert result.history.tolist() == [-np.inf] * 5
+            assert result.best_value == -np.inf
+            assert same_bits(result.best_position, blocks[0][6 * r])
+
+    @pytest.mark.parametrize("at", [slice(None), slice(2, 3)])
+    def test_a_nan_in_the_start_never_becomes_a_best(self, at):
+        # it was the run's best, which then stayed NaN
+        evaluated = []
+
+        def nan_at_start(rows):
+            values = sphere(rows)
+            if not evaluated:
+                values[at] = np.nan
+            evaluated.append(values)
+            return values
+
+        (result,) = maximize(nan_at_start, unit_box(3), swarm(6, 10), [3])
+        start = evaluated[0][~np.isnan(evaluated[0])]
+        assert result.history[0] == start.max(initial=-np.inf)
+        assert not np.isnan(result.history).any()
+        assert result.best_value == np.nanmax(evaluated)
+        assert sphere(result.best_position[np.newaxis]) == result.best_value
 
 
 def random_problem(seed, n):
