@@ -103,24 +103,26 @@ def score_rows(model: LogisticModel, rows) -> np.ndarray:
     """The score ``b0 + x1*b1 + ... + xn*bn`` of each row of an ``(m, n)``
     block of ratio vectors.
 
-    One multiply forms every product ``xj*bj``, each rounded once; the
-    products are then summed column by column in fixed order, ``b0`` first,
-    so a row's value is bit-identical whatever block it is evaluated in:
-    alone, in a chunk or in a whole stacked swarm. A BLAS matrix-vector
-    product would not be, since its summation order depends on the block.
+    One multiply forms every product ``xj*bj``, each rounded once, as a
+    C-ordered ``(n, m)`` array; one ordered reduce then adds its rows to
+    ``b0`` in column order, so a row's value is bit-identical whatever block
+    it is evaluated in: alone, in a chunk or in a whole stacked swarm. A
+    BLAS matrix-vector product would not be, since its summation order
+    depends on the block.
     """
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2 or rows.shape[1] != model.n_features:
         raise DimensionMismatchError(
             f"expected rows of {model.n_features} features, got shape {rows.shape}"
         )
-    if not model.n_features:
-        return np.full(rows.shape[0], model.beta[0])
-    terms = rows * model.beta[1:]
-    t = terms[:, 0] + model.beta[0]  # b0 + x1*b1: IEEE addition commutes
-    for column in terms.T[1:]:
-        t += column
-    return t
+    m = len(rows)
+    # the products as a C-ordered (n, m) array, whose rows the reduce adds in
+    # order; numpy would sum a lone column pairwise, so a lone row is scored
+    # as the first of two
+    terms = np.empty((model.n_features, 2 if m == 1 else m))
+    terms[...] = rows.T
+    terms *= model.beta[1:, np.newaxis]
+    return np.add.reduce(terms, axis=0, initial=model.beta[0])[:m]
 
 
 def reliability_rows(model: LogisticModel, rows) -> np.ndarray:
@@ -306,10 +308,13 @@ def _finite(value: float) -> str:
 
 
 def _float_texts(values: list):
-    # each distinct value is formatted once, unless a zero is among them:
-    # 0.0 == -0.0 as a key, but the two print differently
+    # each distinct value is formatted once where that pays, in a list of 64
+    # values or more of which at least half are repeats; and never with a
+    # zero among them: 0.0 == -0.0 as a key, but the two print differently
+    if len(values) < 64:
+        return map(_finite, values)
     distinct = dict.fromkeys(values)
-    if 0.0 in distinct:
+    if 0.0 in distinct or 2 * len(distinct) > len(values):
         return map(_finite, values)
     text = dict(zip(distinct, map(_finite, distinct)))
     return map(text.__getitem__, values)

@@ -7,7 +7,8 @@ The canonical update, per particle and coordinate:
 
 with the inertia weight w falling linearly from ``w_start`` to ``w_end``
 across the iteration budget. Runs are bit-reproducible for a given seed,
-whether run alone or stacked with others.
+whether run alone or stacked with others, and however many sweeps one
+objective call scores.
 """
 
 from __future__ import annotations
@@ -117,22 +118,28 @@ def maximize(
     gives, bit for bit.
 
     The runs are stacked into one ``(runs, pop, n)`` swarm, in groups of at
-    most ``STACK_FLOATS`` floats per array (at least one run each), so every
-    sweep makes one update and one objective call per group. Each run keeps
-    its own ``np.random.default_rng(seed)`` and draws in a frozen order: one
-    ``random`` call for the start, initial positions then velocities, both
+    most ``STACK_FLOATS`` floats per array (at least one run each). Each run
+    keeps its own ``np.random.default_rng(seed)`` and draws in a frozen order:
+    one ``random`` call for the start, initial positions then velocities, both
     particle-major; per update sweep one ``(pop, 2, n)`` block, i.e. r1 then
-    r2 for particle 0, then particle 1, and so on. A stacked run is
-    therefore bit-identical to the same seed run alone.
+    r2 for particle 0, then particle 1, and so on, where one call may fill the
+    blocks of several sweeps. A stacked run is therefore bit-identical to the
+    same seed run alone.
 
     A sweep is a fixed set of in-place operations on buffers allocated once
-    per group, and again for the live runs when runs retire, taken in the
-    order the formula above reads, so every value rounds as it would in a
-    fresh array per step, from the same draws. The objective gets the
-    group's positions as a C-contiguous float64 ``(runs*pop, n)`` block,
-    which the next sweep overwrites: an objective that keeps its rows copies
-    them. With ``ceiling=None`` it is the same block every sweep; as runs
-    retire, it is a new and smaller block of the live runs' rows.
+    per group, taken in the order the formula above reads, so every value
+    rounds as it would in a fresh array per step, from the same draws. While
+    no personal best of a group rises, its bests are fixed and its next
+    positions follow from the draws alone, so one objective call scores
+    several sweeps: twice as many as the group's last call, up to the budget
+    left and to ``STACK_FLOATS // 16`` floats of positions; the call after the
+    start or after a sweep that raised a best covers one. The objective
+    gets C-contiguous float64 ``(k * live_runs * pop, n)`` blocks of
+    ``k >= 1`` sweeps, sweep-major, then the live runs in seed order, which
+    the next call overwrites: an objective that keeps its rows copies them.
+    The sweeps of a call after the first one that raised a personal best are
+    discarded, and their draws serve the sweeps that follow. So the objective
+    may score positions, all in the box, that no result reflects.
 
     Positions start uniform in the box and velocities in ``+-(upper - lower)``,
     placed as ``Generator.uniform`` places the same draws, after ``check_box``
@@ -192,21 +199,36 @@ def _stacked(
     span = bounds.span
     runs, pop, n = len(seeds), config.population_size, bounds.n
     shape = (runs, pop, n)
+    width = 1 if config.scalar_rand else n
 
     def full(rows):
         return np.broadcast_to(rows, shape).copy()
 
+    # One position and one velocity slot per sweep a call may cover, and each
+    # run's draws for as many: STACK_FLOATS // 16 floats of positions, or one
+    # sweep. Allocated once per group and viewed in the live runs' shapes.
+    room = max(runs * pop * n, STACK_FLOATS // 16)
+    room_x, room_v, room_draws = np.empty(room), np.empty(room), np.empty(room // n * 2 * width)
+
+    def slots(runs):
+        cap = max(1, STACK_FLOATS // (16 * runs * pop * n))
+        floats = cap * runs * pop * n
+        return (room_x[:floats].reshape(cap, runs, pop, n),
+                room_v[:floats].reshape(cap, runs, pop, n),
+                room_draws[: floats // n * 2 * width].reshape(runs, cap, pop, 2, width))
+
+    xs, vs, draws = slots(runs)
     start = np.empty((runs, 2, pop, n))
-    for rng, draws in zip(rngs, start):
-        rng.random(out=draws)
-    positions = bounds.lower + span * start[:, 0]
-    velocities = 2 * span * start[:, 1] - span
+    for rng, block in zip(rngs, start):
+        rng.random(out=block)
+    xs[0] = bounds.lower + span * start[:, 0]
+    vs[0] = 2 * span * start[:, 1] - span
 
     # the start is evaluation 0: each best starts at -inf, led by the first particle
-    best_positions = positions.copy()
+    best_positions = xs[0].copy()
     best_values = np.full((runs, pop), -np.inf)
     best = np.full(runs, -np.inf)
-    global_best = full(positions[:, :1])
+    global_best = full(xs[0][:, :1])
     sweeps = config.max_iterations
     history = np.empty((runs, sweeps + 1))  # one row per run
 
@@ -226,8 +248,8 @@ def _stacked(
             np.maximum(values, low, out=values)
             np.minimum(values, high, out=values)
 
-    rand = np.empty((runs, pop, 2, 1 if config.scalar_rand else n))
-    weights = np.broadcast_to(np.array([[config.c1], [config.c2]]), rand.shape).copy()
+    weights = np.broadcast_to(np.array([[config.c1], [config.c2]]), (runs, 1, pop, 2, width))
+    weights = weights.copy()
     results: dict[int, SwarmResult] = {}
     place = np.arange(runs)  # each live run's index in seeds
 
@@ -237,14 +259,28 @@ def _stacked(
                 seeds[place[r]], global_best[r, 0], float(history[r, -1]), sweeps, history[r]
             )
 
-    for sweep in range(sweeps + 1):
-        values = np.asarray(objective(positions.reshape(runs * pop, n)), float).reshape(runs, pop)
+    # A call scores slots 0 to k - 1, sweep-major, then runs in seed order;
+    # the state is the slot of the last sweep kept, and draws[:, :drawn] are
+    # weighted draws made for sweeps still to come.
+    sweep, k, drawn = 0, 1, 0  # the call's first sweep (the start's is 0)
+    while True:
+        block = xs[:k].reshape(k * runs * pop, n)
+        values = np.asarray(objective(block), float).reshape(k, runs, pop)
         improved = values > best_values
-        # a sweep that raises no personal best would only recompute the
-        # leaders, bests and global bests already held
         if changed := improved.any():
-            np.copyto(best_positions, positions, where=improved[:, :, np.newaxis])
-            np.copyto(best_values, values, where=improved)
+            # the first sweep that raised a personal best is kept, and those
+            # after it discarded: they moved by bests that no longer hold
+            at = next(j for j, raised in enumerate(improved) if raised.any())
+        else:
+            at = k - 1
+        # the sweeps before it raised none (an empty assignment would page in
+        # numpy code that raises the CLI's peak memory by about 0.25 MiB)
+        if at:
+            history[:, sweep : sweep + at] = best[:, np.newaxis]
+        sweep += at
+        if changed:
+            np.copyto(best_positions, xs[at], where=improved[at, :, :, np.newaxis])
+            np.copyto(best_values, values[at], where=improved[at])
             run = np.arange(runs)
             leader = np.argmax(best_values, axis=1)
             top = best_values[run, leader]
@@ -254,6 +290,11 @@ def _stacked(
         history[:, sweep] = best
         if sweep == sweeps:
             break
+        # the draws of the discarded sweeps serve the next ones
+        if (kept := drawn - at - 1) > 0:
+            draws[:, :kept] = draws[:, at + 1 : drawn]
+        drawn = max(kept, 0)
+        x, v = xs[at], vs[at]
         # a run's best reaches the ceiling only in a sweep that raised it
         if ceiling is not None and changed and (done := best >= ceiling).any():
             # no later sweep can raise these runs' best: fix their results
@@ -264,30 +305,43 @@ def _stacked(
             runs = len(rngs)
             if not runs:
                 break
-            positions, velocities, best_positions, best_values, best, global_best = (
-                state[live]
-                for state in (positions, velocities, best_positions, best_values, best, global_best)
+            x, v, best_positions, best_values, best, global_best = (
+                state[live] for state in (x, v, best_positions, best_values, best, global_best)
             )
-            history, place = history[live], place[live]
+            history, place, kept_draws = history[live], place[live], draws[live, :drawn]
+            xs, vs, draws = slots(runs)
+            draws[:, :drawn] = kept_draws
             # alike for every run, or scratch: their first rows serve as views,
             # so these copy nothing and the peak memory stays where it was
-            lower, upper, v_max, v_min, pull, rand, weights = (
-                state[:runs] for state in (lower, upper, v_max, v_min, pull, rand, weights)
+            lower, upper, v_max, v_min, pull, weights = (
+                state[:runs] for state in (lower, upper, v_max, v_min, pull, weights)
             )
-        w = config.w_start + (config.w_end - config.w_start) * (sweep / max(sweeps - 1, 1))
-        for rng, draws in zip(rngs, rand):
-            rng.random(out=draws)
-        rand *= weights  # c1*r1 and c2*r2
-        velocities *= w
-        np.subtract(best_positions, positions, out=pull)
-        pull *= rand[:, :, 0]
-        velocities += pull
-        np.subtract(global_best, positions, out=pull)
-        pull *= rand[:, :, 1]
-        velocities += pull
-        clamp(velocities, v_min, v_max)
-        positions += velocities
-        clamp(positions, lower, upper)
+        # one sweep after the start or a sweep that raised a best; then, while
+        # none rises, each call covers twice the sweeps of the last
+        k = 1 if changed or not sweep else min(2 * k, len(xs), sweeps - sweep)
+        if drawn < k:
+            fresh = draws[:, drawn:k]
+            for rng, block in zip(rngs, fresh):
+                rng.random(out=block)
+            fresh *= weights  # c1*r1 and c2*r2
+            drawn = k
+        for slot in range(k):
+            step = (sweep + slot) / max(sweeps - 1, 1)
+            w = config.w_start + (config.w_end - config.w_start) * step
+            rand = draws[:, slot]
+            velocities, positions = vs[slot], xs[slot]
+            np.multiply(v, w, out=velocities)
+            np.subtract(best_positions, x, out=pull)
+            pull *= rand[:, :, 0]
+            velocities += pull
+            np.subtract(global_best, x, out=pull)
+            pull *= rand[:, :, 1]
+            velocities += pull
+            clamp(velocities, v_min, v_max)
+            np.add(x, velocities, out=positions)
+            clamp(positions, lower, upper)
+            x, v = positions, velocities
+        sweep += 1
 
     finish(range(runs))
     return [results[i] for i in range(len(seeds))]

@@ -16,7 +16,9 @@ from pathlib import Path
 import pytest
 
 import reliopt
+from reliopt import pipeline
 from reliopt.cli import main
+from reliopt.logistic import reliability_rows
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -79,3 +81,23 @@ def test_cli_writes_the_pinned_paper_report(perfbench, inputs, tmp_path):
     out = tmp_path / "report.json"
     assert main(ops.cli_args(ops.WORKLOADS["paper"], data, model, out)) == 0
     assert sha256(out.read_bytes()) == REPORT_SHA256["paper"]
+
+
+def test_paper_swarm_scores_its_stalled_sweeps_a_batch_per_call(inputs, monkeypatch):
+    # the 25 runs make 201 objective calls one sweep at a time; most retire
+    # at the corner's value within a few sweeps, and the stalled sweeps of
+    # the one left come many to a call
+    data, _ = inputs["paper"]
+    calls = []
+
+    def counting(model, rows):
+        calls.append(len(rows))
+        return reliability_rows(model, rows)
+
+    monkeypatch.setattr(pipeline, "reliability_rows", counting)
+    dataset = reliopt.load_dataset(data, "label")
+    model, fit_report = reliopt.fit(dataset)
+    config = reliopt.PipelineConfig(swarm=reliopt.SwarmConfig(30, 200), n_runs=25, base_seed=7)
+    pipeline.optimize_reliability(model, reliopt.compute_bounds(dataset), config)
+    assert len(calls) <= 30
+    assert sum(calls) == 9_480

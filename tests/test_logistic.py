@@ -1,11 +1,10 @@
 import json
 import math
-import operator
 import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reliopt import logistic
@@ -153,24 +152,36 @@ class TestReliabilityKernel:
         chunks = [reliability_rows(model, rows[i : i + cut]) for i in range(0, m, cut)]
         assert np.array_equal(block, np.concatenate(chunks))
 
-    @given(n=st.integers(1, 9), m=st.integers(1, 5), data=st.data())
+    @given(
+        n=st.integers(0, 60),
+        m=st.integers(1, 40),
+        beta_scale=st.sampled_from([-100, -52, 945]),
+        rows_scale=st.sampled_from([-100, 945, -1126]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=9, m=1, beta_scale=-52, rows_scale=-100, seed=0)
+    @example(n=60, m=1, beta_scale=945, rows_scale=-100, seed=1)
+    @example(n=60, m=2, beta_scale=-52, rows_scale=945, seed=2)
+    @example(n=0, m=3, beta_scale=-52, rows_scale=-100, seed=3)
     @settings(max_examples=200, deadline=None)
-    def test_score_matches_the_column_loop_bit_for_bit(self, n, m, data):
+    def test_score_matches_the_column_loop_bit_for_bit(self, n, m, beta_scale, rows_scale, seed):
         # one multiply for every product, then the columns summed in order:
-        # the same bits as a multiply and an add per column. The numbers carry
-        # full 53-bit significands on one scale per example, so the sums round:
-        # rows near 1e-15, 1e300 or among the subnormals, with signed zeros,
-        # and slopes that may take a product past the float maximum
-        def numbers(count, exponents):
-            low = data.draw(st.sampled_from(exponents))
-            exponent = st.integers(low, low + 4)
-            scaled = st.builds(math.ldexp, st.integers(2**52, 2**53 - 1), exponent)
-            magnitude = scaled | scaled | scaled | st.sampled_from([0.0, 5e-324])
-            signed = st.builds(operator.mul, st.sampled_from([-1.0, 1.0]), magnitude)
-            return data.draw(st.lists(signed, min_size=count, max_size=count))
+        # the same bits as a multiply and an add per column, for blocks past
+        # the 8 accumulators of numpy's pairwise sum, one row and no ratio.
+        # The numbers carry full 53-bit significands on one scale per
+        # example, so the sums round: rows near 1e-15, 1e300 or among the
+        # subnormals, with signed zeros, and slopes that may take a product
+        # past the float maximum
+        rng = np.random.default_rng(seed)
 
-        model = make_model(*numbers(n + 1, [-100, -52, 945]))
-        rows = np.array(numbers(m * n, [-100, 945, -1126])).reshape(m, n)
+        def numbers(count, low):
+            significands = rng.integers(2**52, 2**53, count).astype(float)
+            scaled = np.ldexp(significands, rng.integers(low, low + 5, count))
+            magnitude = np.where(rng.random(count) < 0.25, rng.choice([0.0, 5e-324], count), scaled)
+            return magnitude * rng.choice([-1.0, 1.0], count)
+
+        model = make_model(*numbers(n + 1, beta_scale))
+        rows = numbers(m * n, rows_scale).reshape(m, n)
         with np.errstate(all="ignore"):
             assert score_rows(model, rows).tobytes() == reference_score_rows(model, rows).tobytes()
 
@@ -509,11 +520,12 @@ class TestSerialization:
         "place",
         [
             lambda bad: bad,
-            lambda bad: {"a": [1.5, 1.5, bad]},  # a float list, by distinct value
+            lambda bad: {"a": [1.5] * 63 + [bad]},  # a float list, by distinct value
+            lambda bad: [1.5, 1.5, bad],  # a float list, value by value
             lambda bad: [0.0, bad, -0.0],  # a float list holding a zero
             lambda bad: [[1, bad]],  # a mixed list
         ],
-        ids=["scalar", "float list", "float list with a zero", "mixed list"],
+        ids=["scalar", "float list", "distinct float list", "float list with a zero", "mixed list"],
     )
     def test_emitter_refuses_non_finite_floats(self, bad, place):
         # json.dumps writes NaN, Infinity and -Infinity, which are not JSON

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reliopt import pipeline, pso
+from reliopt import logistic, pipeline, pso
 from reliopt.data import (
     Bounds,
     Dataset,
@@ -405,6 +405,33 @@ class TestJsonEmitter:
     @given(payload=_PAYLOADS)
     def test_matches_json_dumps_with_indent(self, payload):
         assert _emit_json(payload) == json.dumps(payload, indent=2)
+
+    @pytest.mark.parametrize(
+        "values, formatted",
+        [
+            # 64 values or more, half of them repeats: each distinct one once
+            ([0.1, 0.2] * 32, 2),
+            ([i / 10 for i in range(1, 33)] * 2, 32),
+            # fewer repeats: value by value
+            ([i / 10 for i in range(1, 35)] + [0.1] * 30, 64),
+            # fewer values: value by value, however many repeat
+            ([0.1, 0.2] * 31 + [0.1], 63),
+            # a zero: value by value
+            ([0.1, 0.2] * 40 + [-0.0], 81),
+        ],
+        ids=["repeated", "half repeats", "few repeats", "short", "zero"],
+    )
+    def test_float_lists_reuse_a_text_only_where_it_pays(self, monkeypatch, values, formatted):
+        calls = []
+        finite = logistic._finite
+
+        def counting(value):
+            calls.append(value)
+            return finite(value)
+
+        monkeypatch.setattr(logistic, "_finite", counting)
+        assert _emit_json(values) == json.dumps(values, indent=2)
+        assert len(calls) == formatted
 
     def test_reports_and_models_read_back_to_the_same_bytes(self, synthetic):
         # floats print as repr, which json.loads reads back bit for bit

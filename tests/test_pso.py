@@ -34,6 +34,11 @@ def sphere(rows):
     return total
 
 
+def flat(rows):
+    # every position alike: no best rises after the start
+    return np.zeros(len(rows))
+
+
 def nearest_the_origin(rows):
     # exact at every scale, so it never overflows
     return -np.abs(rows).max(axis=1)
@@ -312,47 +317,36 @@ class TestMaximize:
 
     def test_degenerate_dimension_pinned(self):
         bounds = Bounds(np.array([0.0, 2.5]), np.array([1.0, 2.5]))
-        seen = []
-
-        def probe(rows):
-            seen.append(rows.copy())
-            return sphere(rows)
-
+        probe, calls = recorder(sphere)
         (result,) = maximize(probe, bounds, swarm(10, 20), [3])
         assert result.best_position[1] == 2.5
-        assert len(seen) == 21 and all(rows.shape == (10, 2) for rows in seen)
-        assert all((rows[:, 1] == 2.5).all() for rows in seen)
+        assert evaluations(calls, swarm(10, 20)).shape == (21, 10, 2)
+        # also in the sweeps discarded after one that raised a best
+        assert all((rows[:, 1] == 2.5).all() for rows, _ in calls)
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_signed_zero_box_stays_at_its_bound(self, n):
         # lower 0.0 and upper -0.0 pass Bounds, but the width is -0.0, which
         # made numpy's uniform raise "high - low < 0"
         bounds = Bounds(np.array([0.0, -1.0][:n]), np.array([-0.0, 1.0][:n]))
-        blocks = []
-
-        def recording(rows):
-            blocks.append(rows.copy())
-            return sphere(rows)
-
+        recording, calls = recorder(sphere)
         results = maximize(recording, bounds, swarm(5, 4), seeds=range(3))
-        evaluated = np.stack(blocks)
-        assert evaluated.shape == (5, 15, n)
-        assert (evaluated[:, :, 0] == 0.0).all()
-        assert ((evaluated[:, :, 1:] >= -1.0) & (evaluated[:, :, 1:] <= 1.0)).all()
+        assert evaluations(calls, swarm(5, 4)).shape == (5, 15, n)
+        evaluated = np.concatenate([rows for rows, _ in calls])
+        assert (evaluated[:, 0] == 0.0).all()
+        assert ((evaluated[:, 1:] >= -1.0) & (evaluated[:, 1:] <= 1.0)).all()
         assert all(result.best_position[0] == 0.0 for result in results)
 
     def test_every_evaluation_feasible(self):
         bounds = Bounds(np.array([-2.0, 1.0, 0.0]), np.array([-1.0, 4.0, 0.5]))
 
-        seen = []
-
         def guarded(rows):
-            seen.append(len(rows))
             assert all(within(bounds, x) for x in rows)
             return rows[:, 0] + rows[:, 1] + rows[:, 2]
 
-        maximize(guarded, bounds, swarm(25, 50), seeds=[9, 10])
-        assert seen == [50] * 51
+        recording, calls = recorder(guarded)
+        maximize(recording, bounds, swarm(25, 50), seeds=[9, 10])
+        assert evaluations(calls, swarm(25, 50)).shape == (51, 50, 3)
 
     def test_history_monotone_and_consistent(self):
         (result,) = maximize(sphere, unit_box(3), swarm(12, 40), [5])
@@ -461,31 +455,44 @@ class TestStackedRuns:
             assert corner.value >= result.best_value
             assert reliability(model, result.best_position) == result.best_value
 
-    def test_one_objective_call_per_sweep_for_all_runs(self):
+    def test_each_objective_call_scores_whole_sweeps_of_all_runs(self):
+        # every sweep raises a best: one sweep per call
         calls = []
         maximize(counted(sphere, calls), unit_box(3), swarm(6, 4), seeds=range(5))
         assert calls == [(30, 3)] * 5
+        # a flat objective raises no best after the start: calls of 1, 2 and
+        # 4 sweeps, then the one sweep left in the budget
+        calls.clear()
+        maximize(counted(flat, calls), unit_box(3), swarm(6, 8), seeds=range(5))
+        assert calls == [(30, 3), (30, 3), (60, 3), (120, 3), (30, 3)]
 
     def test_objective_gets_one_c_contiguous_float64_block(self, monkeypatch):
-        # user objectives may rely on this layout: (runs*pop, n) rows, C order
+        # user objectives may rely on this layout: (sweeps*runs*pop, n) rows,
+        # C order
         blocks = []
 
         def probe(rows):
             blocks.append((rows.shape, rows.dtype, rows.flags.c_contiguous))
-            return sphere(rows)
+            return flat(rows)
 
         maximize(probe, unit_box(3), swarm(6, 4), seeds=range(5))
         monkeypatch.setattr(pso, "STACK_FLOATS", 2 * 6 * 3)
         maximize(probe, unit_box(3), swarm(6, 4, scalar_rand=True), seeds=range(5))
-        shapes = [(30, 3)] * 5 + [(12, 3)] * 10 + [(6, 3)] * 5
+        shapes = [(30, 3), (30, 3), (60, 3), (30, 3)] + [(12, 3)] * 10 + [(6, 3)] * 5
         assert blocks == [(shape, np.float64, True) for shape in shapes]
 
     def test_groups_bound_the_stacked_arrays(self, monkeypatch):
         calls = []
-        # room for two runs of 6 particles in 3 dimensions: groups of 2, 2, 1
+        # room for two runs of 6 particles in 3 dimensions: groups of 2, 2, 1,
+        # and one sweep per call
         monkeypatch.setattr(pso, "STACK_FLOATS", 2 * 6 * 3)
-        maximize(counted(sphere, calls), unit_box(3), swarm(6, 4), seeds=range(5))
+        maximize(counted(flat, calls), unit_box(3), swarm(6, 4), seeds=range(5))
         assert calls == [(12, 3)] * 10 + [(6, 3)] * 5
+        # a sixteenth of STACK_FLOATS holds two sweeps of all five runs
+        calls.clear()
+        monkeypatch.setattr(pso, "STACK_FLOATS", 16 * 2 * 5 * 6 * 3)
+        maximize(counted(flat, calls), unit_box(3), swarm(6, 8), seeds=range(5))
+        assert calls == [(30, 3), (30, 3)] + [(60, 3)] * 3 + [(30, 3)]
 
 
 def same_bits(a, b):
@@ -502,19 +509,62 @@ def same_results(got, want):
         assert same_bits(a.history, b.history)
 
 
-def recorded(maximizer, objective, bounds, config, seeds):
-    """A maximizer's results and every position it evaluated, as a
-    ``(sweeps + 1, runs * pop, n)`` array in seed order."""
-    blocks = []
+def recorder(objective):
+    """``objective``, and the list it appends each call's rows and values to."""
+    calls = []
 
     def recording(rows):
-        blocks.append(rows.copy())
-        return objective(rows)
+        values = np.asarray(objective(rows), dtype=float)
+        calls.append((rows.copy(), values))
+        return values
 
+    return recording, calls
+
+
+def kept_sweeps(calls, holds, pop):
+    """Each evaluation's rows, from the objective calls of one stacked group,
+    and the calls after the group's.
+
+    ``holds[e]`` marks the runs whose rows evaluation ``e`` holds, in seed
+    order. A call holds whole sweeps, never past the budget; the sweeps after
+    the first one in it that raised a personal best are dropped, and no
+    others.
+    """
+    best = np.full((holds.shape[1], pop), -np.inf)
+    kept = []
+    for used, (rows, values) in enumerate(calls, 1):
+        size = holds[len(kept)].sum() * pop
+        assert len(rows) % size == 0 and len(rows) // size <= len(holds) - len(kept)
+        for at in range(0, len(rows), size):
+            runs = holds[len(kept)]
+            sweep = values[at : at + size].reshape(-1, pop)
+            kept.append(rows[at : at + size])
+            raised = sweep > best[runs]
+            best[runs] = np.where(raised, sweep, best[runs])
+            if raised.any():
+                break
+        if len(kept) == len(holds):
+            return kept, calls[used:]
+    raise AssertionError(f"{len(kept)} sweeps evaluated of {len(holds)}")
+
+
+def evaluations(calls, config):
+    """Every position kept from ``calls``, as a ``(sweeps + 1, runs * pop, n)``
+    array in seed order, each group's runs all live."""
+    pop, groups = config.population_size, []
+    while calls:
+        runs = len(calls[0][0]) // pop  # a group's first call is its start
+        holds = np.ones((config.max_iterations + 1, runs), dtype=bool)
+        kept, calls = kept_sweeps(calls, holds, pop)
+        groups.append(np.stack(kept))
+    return np.concatenate(groups, axis=1)
+
+
+def recorded(maximizer, objective, bounds, config, seeds):
+    """A maximizer's results and every position it kept, by ``evaluations``."""
+    recording, calls = recorder(objective)
     results = maximizer(recording, bounds, config, seeds)
-    per_group = config.max_iterations + 1
-    groups = [np.stack(blocks[i : i + per_group]) for i in range(0, len(blocks), per_group)]
-    return results, np.concatenate(groups, axis=1)
+    return results, evaluations(calls, config)
 
 
 class TestReferenceSweep:
@@ -523,7 +573,7 @@ class TestReferenceSweep:
     @given(
         n=st.integers(1, 9),
         pop=st.integers(2, 12),
-        iters=st.integers(1, 12),
+        iters=st.integers(1, 12) | st.integers(13, 60),
         seeds=st.lists(st.integers(0, 2**32), min_size=1, max_size=6),
         case=st.integers(0, 2**32 - 1),
         pinned=st.lists(
@@ -534,11 +584,13 @@ class TestReferenceSweep:
         c2=st.sampled_from([0.0, 2.0]) | st.floats(0, 4),
         w_end=st.sampled_from([0.0, 0.4]) | st.floats(0, 0.9),
         clamp=st.sampled_from([1.0]) | st.floats(1e-3, 1),
-        runs_per_group=st.sampled_from([None, 1, 2, 3]),
+        # STACK_FLOATS in swarms of pop * n: groups of 1, 2 or 3 runs, one
+        # sweep per call; or calls of up to 2, 3 or 7 sweeps of 6 live runs
+        stack=st.sampled_from([None, 1, 2, 3, 16 * 2 * 6, 16 * 3 * 6, 16 * 7 * 6]),
     )
     @settings(max_examples=150, deadline=None)
     def test_maximize_matches_reference_bit_for_bit(
-        self, n, pop, iters, seeds, case, pinned, scalar_rand, c1, c2, w_end, clamp, runs_per_group
+        self, n, pop, iters, seeds, case, pinned, scalar_rand, c1, c2, w_end, clamp, stack
     ):
         model, bounds = random_problem(case, n)
         lower, upper = bounds.lower.copy(), bounds.upper.copy()
@@ -553,8 +605,8 @@ class TestReferenceSweep:
             velocity_clamp_fraction=clamp,
         )
         with pytest.MonkeyPatch.context() as patch:
-            if runs_per_group is not None:
-                patch.setattr(pso, "STACK_FLOATS", runs_per_group * pop * n)
+            if stack is not None:
+                patch.setattr(pso, "STACK_FLOATS", stack * pop * n)
             results, evaluated = recorded(maximize, objective, bounds, config, seeds)
         expected, evaluated_expected = recorded(
             reference_maximize, objective, bounds, config, seeds
@@ -604,6 +656,42 @@ class TestReferenceSweep:
         for got, want in zip(results, expected):
             assert same_bits(got.best_position, want.best_position)
             assert same_bits(got.history, want.history)
+
+
+class TestStalledCalls:
+    """A call of several sweeps against the reference's one sweep per call."""
+
+    @pytest.mark.parametrize("scalar_rand", [False, True])
+    @pytest.mark.parametrize("seeds", [[0], [1, 2], [3, 4, 5]])
+    def test_a_call_cut_short_replays_its_kept_draws(self, seeds, scalar_rand):
+        # four particles stall often, and a best rises again inside a call;
+        # the sweeps after it were drawn for, and their draws serve the next
+        config = swarm(4, 40, scalar_rand=scalar_rand)
+        recording, calls = recorder(sphere)
+        results = maximize(recording, unit_box(2), config, seeds)
+        expected, evaluated = recorded(reference_maximize, sphere, unit_box(2), config, seeds)
+        same_results(results, expected)
+        assert same_bits(evaluations(calls, config), evaluated)
+        scored = sum(len(rows) for rows, _ in calls) // (4 * len(seeds))
+        assert scored > 41  # some sweeps were discarded
+
+    def test_the_call_after_a_rise_covers_one_sweep(self):
+        # and one after the start; while no best rises, each call covers
+        # twice the sweeps of the last, within the budget
+        recording, calls = recorder(sphere)
+        maximize(recording, unit_box(2), swarm(4, 40), [0])
+        best, covered, sweep = np.full(4, -np.inf), 1, -1  # the last sweep kept
+        for rows, values in calls:
+            assert len(rows) == 4 * covered
+            for values_at in values.reshape(-1, 4):
+                sweep += 1
+                raised = values_at > best
+                best = np.where(raised, values_at, best)
+                if raised.any():
+                    break
+            covered = 1 if raised.any() or sweep == 0 else min(2 * covered, 40 - sweep)
+        assert sweep == 40
+        assert max(len(rows) for rows, _ in calls) >= 4 * 4
 
 
 def paper_like_problem():
@@ -690,6 +778,8 @@ class TestCeiling:
         rows = sum(shape[0] for shape in calls)
         assert rows < pop * (iters + 1) * runs
         assert calls[-1][0] < calls[0][0] == pop * runs
+        # the runs left stall: their sweeps come many to a call
+        assert len(calls) < (iters + 1) / 4
         assert any(run.best_value == corner.value for run in retired)
         same_results(retired, maximize(partial(reliability_rows, model), bounds, config, range(runs)))
 
@@ -702,27 +792,23 @@ class TestCeiling:
         objective = partial(reliability_rows, model)
         pop, iters, runs = 30, 200, 25
         config = swarm(pop, iters)
-        blocks = []
-
-        def recording(rows):
-            blocks.append(rows.copy())
-            return objective(rows)
-
+        recording, calls = recorder(objective)
         results = maximize(
             recording, bounds, config, range(runs), ceiling=corner.value if retire else None
         )
         expected, evaluated = recorded(reference_maximize, objective, bounds, config, range(runs))
         same_results(results, expected)
-        # each sweep evaluates the rows of the runs still live, in seed order
+        # each sweep evaluates the rows of the runs still live, in seed order:
+        # all of them at the start, and after sweep k those below the corner
         history = np.stack([run.history for run in expected])
         live = history < corner.value if retire else np.ones(history.shape, dtype=bool)
+        holds = np.vstack([np.ones(runs, dtype=bool), live[:, :-1].T])
+        holds = holds[holds.any(axis=1)]
+        kept, rest = kept_sweeps(calls, holds, pop)
         per_run = evaluated.reshape(iters + 1, runs, pop, bounds.n)
-        want = [evaluated[0]] + [
-            per_run[k, live[:, k - 1]].reshape(-1, bounds.n)
-            for k in range(1, iters + 1) if live[:, k - 1].any()
-        ]
-        assert len(blocks) == len(want)
-        assert all(same_bits(got, rows) for got, rows in zip(blocks, want))
+        want = [per_run[k, runs_in].reshape(-1, bounds.n) for k, runs_in in enumerate(holds)]
+        assert not rest and len(kept) == len(want)
+        assert all(same_bits(got, rows) for got, rows in zip(kept, want))
         # a run below the corner gains nothing over its last 100 sweeps or more
         assert ((history[:, -1] < corner.value) & (history[:, -101] == history[:, -1])).any()
         # and in at least 100 sweeps no live particle beats its personal best
