@@ -1,11 +1,15 @@
 """The byte contract: fixed seeds and inputs give the same report bytes.
 
-Each benchmark workload's input is written at seed 1 with the benchmark's
-own generator (``perfbench/run.py``), run through the benchmark's one
-operation (``perfbench/ops.py``), and its report's sha256 compared with the
-one every recorded benchmark run has read since the stacked swarm. A change
-that moves one report byte, such as scoring with a BLAS product, fails here.
-The hashes were taken with numpy 2.4.6 on Python 3.11.7.
+Each benchmark workload's input is written with the benchmark's own
+generator (``perfbench/run.py``), run through the benchmark's one operation
+(``perfbench/ops.py``), and its report's sha256 compared with a pinned one.
+Every workload is pinned at input seed 1, the one every recorded benchmark
+run has read since the stacked swarm; ``paper`` is also pinned at input
+seeds 0 and 2, whose swarms leave more runs short of the corner's value
+(9 and 5 of 25, against 1 at seed 1). The CSV that ``reliopt gen`` writes
+for the README's example is pinned as well. A change that moves one report
+byte, such as scoring with a BLAS product, fails here. The hashes were taken
+with numpy 2.4.6 on Python 3.11.7.
 """
 
 import hashlib
@@ -27,6 +31,17 @@ REPORT_SHA256 = {
     "scale": "06c4d232e1c24e4ec98e95112f9581ed54810daad5c7b4cc5b06abb2cdc4f995",
     "prescribe": "905f6cad0346d1388053509fab2066dfba8765ff0e287212935a56b18363bb4f",
 }
+
+# seed 0: 9 runs never reach the corner's value, and each of the 201 objective
+# calls scores one sweep; seed 2: 5 runs never do, and most of its 78 calls
+# score several sweeps of the runs left
+PAPER_SHA256_BY_SEED = {
+    0: "00182a8e8c2441e0d5eaaaf1f5109d8f772e540879ed20c1e548a7bbfba1dcf3",
+    2: "8949de2964167263aac995069af27e3e23162b1a52c0ddb8eb65ec24669110db",
+}
+
+# reliopt gen --features 9 --rows 200 --seed 1, as in the README
+GEN_SHA256 = "72287845b0bd092a7e20a3c89be054c6291e3204c50866b97ec19b8373ab611d"
 
 
 def sha256(data: bytes) -> str:
@@ -73,6 +88,21 @@ def test_workload_report_bytes_are_pinned(perfbench, inputs, name):
     data, model = inputs[name]
     text = ops.operation(reliopt, ops.WORKLOADS[name], data, model)
     assert sha256(text.encode()) == REPORT_SHA256[name]
+
+
+@pytest.mark.parametrize("seed", sorted(PAPER_SHA256_BY_SEED))
+def test_paper_report_bytes_are_pinned_at_other_input_seeds(perfbench, tmp_path, seed):
+    ops, run = perfbench
+    workload, data = ops.WORKLOADS["paper"], tmp_path / "paper.csv"
+    run.write_inputs(workload, seed, data)
+    text = ops.operation(reliopt, workload, data, tmp_path / "unused.model.json")
+    assert sha256(text.encode()) == PAPER_SHA256_BY_SEED[seed]
+
+
+def test_gen_writes_the_pinned_csv(tmp_path, capsys):
+    out = tmp_path / "banks.csv"
+    assert main(["gen", "--features", "9", "--rows", "200", "--seed", "1", "--out", str(out)]) == 0
+    assert sha256(out.read_bytes()) == GEN_SHA256
 
 
 def test_cli_writes_the_pinned_paper_report(perfbench, inputs, tmp_path):
