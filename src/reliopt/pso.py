@@ -230,7 +230,9 @@ def _stacked(
     best = np.full(runs, -np.inf)
     global_best = full(xs[0][:, :1])
     sweeps = config.max_iterations
-    history = np.empty((runs, sweeps + 1))  # one row per run
+    # each seed's best after each sweep that raised a personal best, -inf
+    # after the others: a run's trace is the running maximum of its row
+    history = np.full((runs, sweeps + 1), -np.inf)
 
     lower, upper = full(bounds.lower), full(bounds.upper)
     v_max = full(config.velocity_clamp_fraction * span)
@@ -250,14 +252,14 @@ def _stacked(
 
     weights = np.broadcast_to(np.array([[config.c1], [config.c2]]), (runs, 1, pop, 2, width))
     weights = weights.copy()
-    results: dict[int, SwarmResult] = {}
+    results: list = [None] * runs  # each seed's SwarmResult, in seed order
     place = np.arange(runs)  # each live run's index in seeds
 
     def finish(rows):
         for r in rows:
-            results[place[r]] = SwarmResult(
-                seeds[place[r]], global_best[r, 0], float(history[r, -1]), sweeps, history[r]
-            )
+            i = place[r]
+            trace = np.maximum.accumulate(history[i])
+            results[i] = SwarmResult(seeds[i], global_best[r, 0], float(best[r]), sweeps, trace)
 
     # A call scores slots 0 to k - 1, sweep-major, then runs in seed order;
     # the state is the slot of the last sweep kept, and draws[:, :drawn] are
@@ -273,11 +275,7 @@ def _stacked(
             at = next(j for j, raised in enumerate(improved) if raised.any())
         else:
             at = k - 1
-        # the sweeps before it raised none (an empty assignment would page in
-        # numpy code that raises the CLI's peak memory by about 0.25 MiB)
-        if at:
-            history[:, sweep : sweep + at] = best[:, np.newaxis]
-        sweep += at
+        sweep += at  # the sweeps before it raised none
         if changed:
             np.copyto(best_positions, xs[at], where=improved[at, :, :, np.newaxis])
             np.copyto(best_values, values[at], where=improved[at])
@@ -287,7 +285,7 @@ def _stacked(
             gained = top > best
             np.copyto(best, top, where=gained)
             global_best[gained] = best_positions[run[gained], leader[gained]][:, np.newaxis]
-        history[:, sweep] = best
+            history[place, sweep] = best
         if sweep == sweeps:
             break
         # the draws of the discarded sweeps serve the next ones
@@ -297,9 +295,7 @@ def _stacked(
         x, v = xs[at], vs[at]
         # a run's best reaches the ceiling only in a sweep that raised it
         if ceiling is not None and changed and (done := best >= ceiling).any():
-            # no later sweep can raise these runs' best: fix their results
-            history[done, sweep + 1 :] = best[done, np.newaxis]
-            finish(np.flatnonzero(done))
+            finish(np.flatnonzero(done))  # no later sweep can raise these runs' best
             live = ~done
             rngs = [rng for rng, keep in zip(rngs, live) if keep]
             runs = len(rngs)
@@ -308,7 +304,7 @@ def _stacked(
             x, v, best_positions, best_values, best, global_best = (
                 state[live] for state in (x, v, best_positions, best_values, best, global_best)
             )
-            history, place, kept_draws = history[live], place[live], draws[live, :drawn]
+            place, kept_draws = place[live], draws[live, :drawn]
             xs, vs, draws = slots(runs)
             draws[:, :drawn] = kept_draws
             # alike for every run, or scratch: their first rows serve as views,
@@ -344,4 +340,4 @@ def _stacked(
         sweep += 1
 
     finish(range(runs))
-    return [results[i] for i in range(len(seeds))]
+    return results
