@@ -219,23 +219,25 @@ def _render_fit_summary(model, report, dataset) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit_report(args: argparse.Namespace, report: PrescriptionReport, out) -> None:
-    rendered = report_to_json(report) if out is not None or args.json else None
+def _emit(args: argparse.Namespace, out, render, table) -> None:
+    """Write ``render()`` to ``out``, if given, and print it under ``--json``, or
+    ``table()`` otherwise; the JSON is rendered once, and only where it is used."""
+    rendered = render() if out is not None or args.json else None
     if out is not None:
         Path(out).write_text(rendered, encoding="utf-8")
-    sys.stdout.write(rendered if args.json else render_report_table(report))
+    sys.stdout.write(rendered if args.json else table())
+
+
+def _emit_report(args: argparse.Namespace, report: PrescriptionReport, out) -> None:
+    _emit(args, out, lambda: report_to_json(report), lambda: render_report_table(report))
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
     settings = _settings(args)
     dataset = _load(settings)
     model, report = fit(dataset)
-    if settings["out"] is not None:
-        save_model(model, Path(settings["out"]), report)
-    if args.json:
-        sys.stdout.write(model_to_json(model, report))
-    else:
-        sys.stdout.write(_render_fit_summary(model, report, dataset))
+    _emit(args, settings["out"], lambda: model_to_json(model, report),
+          lambda: _render_fit_summary(model, report, dataset))
     return 0
 
 

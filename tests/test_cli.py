@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import reliopt
-from reliopt import cli
+from reliopt import cli, logistic
 from reliopt.cli import main
 from reliopt.data import save_dataset
 
@@ -122,6 +122,23 @@ class TestFit:
         assert run_cli("fit", "--data", str(synth_csv), "--label", "label", "--json") == 0
         payload = json.loads(capsys.readouterr().out)
         assert set(payload) == {"feature_names", "beta", "fit"}
+
+    def test_model_json_is_rendered_once_when_written_and_printed(
+        self, synth_csv, tmp_path, capsys, monkeypatch
+    ):
+        # each rendering of a model file builds its payload once
+        out, built = tmp_path / "model.json", []
+        payload = logistic.model_payload
+
+        def counting(model, report=None):
+            built.append(model)
+            return payload(model, report)
+
+        monkeypatch.setattr(logistic, "model_payload", counting)
+        assert run_cli("fit", "--data", str(synth_csv), "--label", "label",
+                       "--out", str(out), "--json") == 0
+        assert len(built) == 1
+        assert out.read_text(encoding="utf-8") == capsys.readouterr().out
 
     def test_single_class_exit_1(self, tmp_path, capsys):
         path = write_csv(tmp_path / "one.csv", "a,label\n1,1\n2,1\n3,1\n")
@@ -304,6 +321,11 @@ class TestOptimize:
 
     def test_missing_model_flag_is_usage_error(self, synth_csv):
         assert run_cli("optimize", "--data", str(synth_csv), "--label", "label") == 2
+
+    def test_missing_model_file_exit_1_names_it(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("optimize", "--model", "missing.json") == 1
+        assert assert_single_error(capsys) == "error: no such file: missing.json"
 
     def test_config_file_out_path_is_honored(self, synth_csv, model_json, tmp_path):
         report_path = tmp_path / "from_config.json"

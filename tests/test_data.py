@@ -403,6 +403,21 @@ class TestBlockReader:
         assert len(forked) == (1 if _blocks_can_run() else 0)
         _assert_no_child_left()
 
+    def test_one_usable_cpu_reads_in_one_pass(self, tmp_path, monkeypatch, streamed, forked):
+        read_blocks, returned = blocks.read_blocks, []
+
+        def recording(*args):
+            returned.append(read_blocks(*args))
+            return returned[-1]
+
+        monkeypatch.setattr(blocks, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(blocks, "read_blocks", recording)
+        content = ("\n".join(_table_lines()) + "\n").encode()
+        path, one_pass, in_blocks = self._outcomes(tmp_path, monkeypatch, content)
+        assert in_blocks == one_pass and in_blocks[2] == (300, 2)
+        assert returned == ([None] if hasattr(os, "fork") else [])  # a file of two blocks
+        assert streamed == [path, path] and forked == []
+
     @pytest.mark.parametrize(
         "row,text,message",
         [

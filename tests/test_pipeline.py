@@ -433,6 +433,11 @@ class TestJsonEmitter:
         assert _emit_json(values) == json.dumps(values, indent=2)
         assert len(calls) == formatted
 
+    def test_refuses_a_value_of_another_type(self):
+        message = "Object of type object is not JSON serializable"
+        with pytest.raises(TypeError, match=f"^{message}$"):
+            _emit_json({"a": [1, object()]})
+
     def test_reports_and_models_read_back_to_the_same_bytes(self, synthetic):
         # floats print as repr, which json.loads reads back bit for bit
         report = run_pipeline(synthetic, pipeline_config(pop=5, iters=4, runs=6))
