@@ -99,7 +99,7 @@ def test_paper_report_bytes_are_pinned_at_other_input_seeds(perfbench, tmp_path,
     assert sha256(text.encode()) == PAPER_SHA256_BY_SEED[seed]
 
 
-def test_gen_writes_the_pinned_csv(tmp_path, capsys):
+def test_gen_writes_the_pinned_csv(tmp_path):
     out = tmp_path / "banks.csv"
     assert main(["gen", "--features", "9", "--rows", "200", "--seed", "1", "--out", str(out)]) == 0
     assert sha256(out.read_bytes()) == GEN_SHA256
