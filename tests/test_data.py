@@ -418,6 +418,23 @@ class TestBlockReader:
         assert returned == ([None] if hasattr(os, "fork") else [])  # a file of two blocks
         assert streamed == [path, path] and forked == []
 
+    def test_no_fork_reads_in_one_pass(self, tmp_path, monkeypatch, streamed):
+        # a call of os.fork there would raise an AttributeError, which the
+        # fallback hides; so the block reader must not start a worker at all
+        fork_worker, workers = blocks._fork_worker, []
+
+        def recording(*args):
+            workers.append(args)
+            return fork_worker(*args)
+
+        monkeypatch.setattr(blocks, "_fork_worker", recording)
+        monkeypatch.delattr(os, "fork", raising=False)
+        content = ("\n".join(_table_lines()) + "\n").encode()
+        path, one_pass, in_blocks = self._outcomes(tmp_path, monkeypatch, content)
+        assert in_blocks == one_pass and in_blocks[2] == (300, 2)
+        assert workers == []
+        assert streamed == [path, path]  # once for each load: the second, of two blocks, too
+
     @pytest.mark.parametrize(
         "row,text,message",
         [

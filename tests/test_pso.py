@@ -816,6 +816,25 @@ class TestCeiling:
         raised = values[1:] > np.maximum.accumulate(values, axis=0)[:-1]
         assert (~(raised.any(axis=2) & live[:, :-1].T).any(axis=1)).sum() >= 100
 
+    def test_a_retirement_keeps_the_draws_of_a_discarded_sweep(self):
+        # a call of two sweeps whose first retires run 907: the draws made
+        # for the second serve run 908's next sweep (inputs found by search)
+        beta = [13.365287305616441, 4.866530338867893, 9.333130597524178,
+                2.5319160454295737, 5.628384619867198]
+        lower = [0.3155315145349845, -0.07833531309666782, -0.5993499674814546, 0.6653893261286067]
+        upper = [2.4466491823933114, 1.071065338007367, 1.29721589523794, 1.1018091592487078]
+        model = LogisticModel(beta=np.array(beta), feature_names=("a", "b", "c", "d"))
+        bounds = Bounds(np.array(lower), np.array(upper))
+        corner = corner_optimum(model, bounds)
+        assert corner.value == 1.0
+        objective = partial(reliability_rows, model)
+        config, seeds = swarm(2, 42, w_end=0.0), [907, 908]
+        calls = []
+        results = maximize(counted(objective, calls), bounds, config, seeds, ceiling=corner.value)
+        assert [rows for rows, _ in calls] == [4, 4, 8, 2, 2]
+        same_results(results, maximize(objective, bounds, config, seeds))
+        same_results(results, reference_maximize(objective, bounds, config, seeds))
+
     def test_group_ends_when_every_run_is_retired(self):
         # a zero slope: every position scores the corner's value, so every
         # run is retired after the initial evaluation
