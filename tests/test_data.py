@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from reliopt import blocks, data
+from reliopt import data
 from reliopt.data import (
     DEFAULT_SEED,
     Bounds,
@@ -55,7 +55,7 @@ def _force_blocks(monkeypatch, path, ranges: int = 2) -> None:
 
 
 def _blocks_can_run() -> bool:
-    return hasattr(os, "fork") and blocks._usable_cpus() > 1
+    return hasattr(os, "fork") and data._usable_cpus() > 1
 
 
 def _assert_no_child_left() -> None:
@@ -404,30 +404,30 @@ class TestBlockReader:
         _assert_no_child_left()
 
     def test_one_usable_cpu_reads_in_one_pass(self, tmp_path, monkeypatch, streamed, forked):
-        read_blocks, returned = blocks.read_blocks, []
+        read_blocks, returned = data.read_blocks, []
 
         def recording(*args):
             returned.append(read_blocks(*args))
             return returned[-1]
 
-        monkeypatch.setattr(blocks, "_usable_cpus", lambda: 1)
-        monkeypatch.setattr(blocks, "read_blocks", recording)
+        monkeypatch.setattr(data, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(data, "read_blocks", recording)
         content = ("\n".join(_table_lines()) + "\n").encode()
         path, one_pass, in_blocks = self._outcomes(tmp_path, monkeypatch, content)
         assert in_blocks == one_pass and in_blocks[2] == (300, 2)
-        assert returned == ([None] if hasattr(os, "fork") else [])  # a file of two blocks
+        assert returned == [None, None]  # a file under two blocks, then one of two
         assert streamed == [path, path] and forked == []
 
     def test_no_fork_reads_in_one_pass(self, tmp_path, monkeypatch, streamed):
         # a call of os.fork there would raise an AttributeError, which the
         # fallback hides; so the block reader must not start a worker at all
-        fork_worker, workers = blocks._fork_worker, []
+        fork_worker, workers = data._fork_worker, []
 
         def recording(*args):
             workers.append(args)
             return fork_worker(*args)
 
-        monkeypatch.setattr(blocks, "_fork_worker", recording)
+        monkeypatch.setattr(data, "_fork_worker", recording)
         monkeypatch.delattr(os, "fork", raising=False)
         content = ("\n".join(_table_lines()) + "\n").encode()
         path, one_pass, in_blocks = self._outcomes(tmp_path, monkeypatch, content)
@@ -461,12 +461,12 @@ class TestBlockReader:
         path, one_pass, in_blocks = self._outcomes(tmp_path, monkeypatch, content)
         assert in_blocks == one_pass == (MalformedRowError, f"{path}{message}")
         assert streamed == [path] * (1 + _blocks_can_run())
-        assert len(forked) <= blocks._usable_cpus() - 1
+        assert len(forked) <= data._usable_cpus() - 1
         _assert_no_child_left()
 
-    def test_small_files_never_import_the_block_reader(self, tmp_path):
-        # compiling it takes about 0.1 MiB that a process reading small files
-        # keeps; every module of the start-up set costs its compile time too
+    def test_a_small_load_keeps_the_start_up_module_set(self, tmp_path):
+        # every module of the start-up set costs each CLI process its compile
+        # time and memory; loading a small file adds none
         path = write_csv(tmp_path / "d.csv", "\n".join(_table_lines()) + "\n")
         code = (
             "import sys\n"
@@ -521,14 +521,14 @@ class TestBlockReader:
     def test_interrupt_reaps_the_workers(self, tmp_path, monkeypatch, forked):
         path = write_csv(tmp_path / "d.csv", "\n".join(_table_lines()) + "\n")
         _force_blocks(monkeypatch, path)
-        parse_range, parent = blocks._parse_range, os.getpid()
+        parse_range, parent = data._parse_range, os.getpid()
 
         def interrupted(*args):
             if os.getpid() == parent:
                 raise KeyboardInterrupt
             return parse_range(*args)
 
-        monkeypatch.setattr(blocks, "_parse_range", interrupted)
+        monkeypatch.setattr(data, "_parse_range", interrupted)
         with pytest.raises(KeyboardInterrupt):
             load_dataset(path, "label")
         assert len(forked) == (1 if _blocks_can_run() else 0)
@@ -540,14 +540,14 @@ class TestBlockReader:
         lines[1] = "abc,0.5,1"
         path = write_csv(tmp_path / "d.csv", "\n".join(lines) + "\n")
         _force_blocks(monkeypatch, path)
-        parse_range, parent = blocks._parse_range, os.getpid()
+        parse_range, parent = data._parse_range, os.getpid()
 
         def slow_in_workers(*args):
             if os.getpid() != parent:
                 time.sleep(20)
             return parse_range(*args)
 
-        monkeypatch.setattr(blocks, "_parse_range", slow_in_workers)
+        monkeypatch.setattr(data, "_parse_range", slow_in_workers)
         start = time.perf_counter()
         with pytest.raises(MalformedRowError, match=r"d\.csv:2: non-numeric value 'abc'"):
             load_dataset(path, "label")
@@ -560,7 +560,7 @@ class TestBlockReader:
         # kill in the middle of its write would leave it
         path = write_csv(tmp_path / "d.csv", "\n".join(_table_lines()) + "\n")
         _force_blocks(monkeypatch, path)
-        parse_range, parent = blocks._parse_range, os.getpid()
+        parse_range, parent = data._parse_range, os.getpid()
 
         class Overstated(bytearray):
             def __len__(self):
@@ -570,7 +570,7 @@ class TestBlockReader:
             rows = parse_range(*args)
             return Overstated(rows) if os.getpid() != parent else rows
 
-        monkeypatch.setattr(blocks, "_parse_range", cut_short_in_workers)
+        monkeypatch.setattr(data, "_parse_range", cut_short_in_workers)
         ds = load_dataset(path, "label")
         assert ds.features.shape == (300, 2)
         assert streamed == [Path(path)]
