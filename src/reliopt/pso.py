@@ -14,6 +14,7 @@ objective call scores.
 from __future__ import annotations
 
 import math
+import os
 import sys
 from collections.abc import Iterable, Sequence
 from dataclasses import InitVar, dataclass
@@ -146,7 +147,8 @@ def maximize(
     has refused a box in which the start or a sweep would overflow. Zero-width
     dimensions, also ``0.0`` to ``-0.0``, stay pinned at their bound; every
     evaluated position is in the box. A swarm array too big for any address
-    space is a MemoryError before anything is allocated.
+    space, or a swarm whose largest arrays and histories exceed physical
+    memory, is a MemoryError before anything is allocated.
     """
     check_box(bounds, config)
     seeds = list(seeds)
@@ -157,6 +159,14 @@ def maximize(
     floats = min(group, len(seeds)) * max(2 * pop * bounds.n, sweeps + 1)
     if 8 * floats > sys.maxsize:
         raise MemoryError(f"a swarm array of {floats} floats is past any address space")
+    # every result keeps its sweeps + 1 history floats, across the groups
+    needed = 8 * (floats + len(seeds) * (sweeps + 1))
+    try:
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):  # no sysconf, or no answer
+        memory = sys.maxsize
+    if needed > memory > 0:  # sysconf gives -1 for a limit it cannot tell
+        raise MemoryError(f"a swarm of {needed} bytes is past the {memory} bytes of memory")
     results: list[SwarmResult] = []
     for start in range(0, len(seeds), group):
         results += _stacked(objective, bounds, config, seeds[start : start + group], ceiling)

@@ -1,5 +1,6 @@
 import math
 import operator
+import os
 import sys
 from dataclasses import fields, replace
 from functools import partial
@@ -290,6 +291,21 @@ class TestMaximize:
         # numpy refused these with "array is too big", a ValueError
         with pytest.raises(MemoryError, match="past any address space"):
             maximize(sphere, unit_box(2), swarm(pop, iters), [0, 1])
+
+    def test_histories_past_physical_memory_are_out_of_memory(self, monkeypatch):
+        # each of 3 runs keeps a history of half the memory; the refusal
+        # comes before the first group is stacked
+        try:
+            memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        except (AttributeError, ValueError):
+            pytest.skip("the platform does not report its physical memory")
+
+        def unreached(*args):
+            raise AssertionError("a group was stacked")
+
+        monkeypatch.setattr(pso, "_stacked", unreached)
+        with pytest.raises(MemoryError, match="bytes of memory"):
+            maximize(sphere, unit_box(2), swarm(2, memory // 16), [0, 1, 2])
 
     def test_sphere_reaches_analytic_maximum(self):
         (result,) = maximize(sphere, unit_box(3), swarm(30, 200), [0])
