@@ -833,8 +833,8 @@ class TestCeiling:
         assert (~(raised.any(axis=2) & live[:, :-1].T).any(axis=1)).sum() >= 100
 
     def test_a_retirement_keeps_the_draws_of_a_discarded_sweep(self):
-        # a call of two sweeps whose first retires run 907: the draws made
-        # for the second serve run 908's next sweep (inputs found by search)
+        # a call of sweeps 2 and 3 whose first retires seed 908: the draws
+        # made for the second serve seed 907's sweep 3 (inputs found by search)
         beta = [13.365287305616441, 4.866530338867893, 9.333130597524178,
                 2.5319160454295737, 5.628384619867198]
         lower = [0.3155315145349845, -0.07833531309666782, -0.5993499674814546, 0.6653893261286067]
