@@ -172,6 +172,16 @@ class TestFit:
         beta = json.loads(model_path.read_text())["beta"]
         assert beta[1] != 0.0 and np.isfinite(beta).all()
 
+    def test_overflowing_newton_step_exit_1_quietly(self, tmp_path, capsys):
+        # a hypothesis example: the decrement grad @ step, then the next
+        # scores design @ gamma, overflowed with numpy warnings first
+        text = "label,r0,r1\n0,0.5,0.0\n1,0.0,0.0\n0,NA,1.0\n1,-187.0,0.0\n0,-1.0,NA\n"
+        path = write_csv(tmp_path / "steep.csv", text)
+        assert run_cli("fit", "--data", path, "--label", "label", "--json") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: Newton iterate overflowed\n"
+
     def test_fallback_ridge_is_printed(self, tmp_path, capsys):
         path = tmp_path / "dup.csv"
         save_dataset(duplicated_large_column_dataset(), path)
