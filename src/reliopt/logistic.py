@@ -172,7 +172,9 @@ def fit(dataset: Dataset) -> tuple[LogisticModel, FitReport]:
     up to rounding), switches on a ridge of ``FALLBACK_RIDGE`` times the mean
     diagonal of C for the rest of the fit: steps then solve
     ``(C + ridge*I) delta = grad - ridge*beta`` in the scaled coordinates.
-    SingularHessianError means a failure with the ridge on.
+    SingularHessianError means a failure with the ridge on. A decrement or
+    an iterate or its scores that is not finite is NonFiniteIterateError,
+    raised before numpy warns of the overflow.
 
     On perfectly separated data the likelihood has no finite maximizer. With
     no ridge in play, a small decrement therefore only counts as convergence
@@ -197,7 +199,10 @@ def fit(dataset: Dataset) -> tuple[LogisticModel, FitReport]:
     signed = 2.0 * labels - 1.0
     ridge, iterations, converged = 0.0, 0, False
     while iterations < MAX_ITER and not converged:
-        t = design @ gamma
+        with np.errstate(over="ignore", invalid="ignore"):
+            t = design @ gamma
+        if not np.isfinite(t).all():
+            raise NonFiniteIterateError("Newton iterate overflowed")
         grad = design.T @ _residuals(labels, t) - ridge * gamma
         # p*(1-p) as sigmoid(t)*sigmoid(-t) stays positive until sigmoid(-|t|)
         # truly underflows, instead of hitting zero near |t|~37
@@ -215,10 +220,12 @@ def fit(dataset: Dataset) -> tuple[LogisticModel, FitReport]:
             ridge = max(FALLBACK_RIDGE * curvature.diagonal().mean(), np.finfo(float).tiny)
             continue
         step = np.linalg.solve(factor.T, np.linalg.solve(factor, grad))
-        converged = bool(grad @ step / 2 <= DECREMENT_TOL and (ridge or (signed * t <= 0).any()))
-        gamma = gamma + step
-        if not np.isfinite(gamma).all():
+        with np.errstate(over="ignore", invalid="ignore"):
+            decrement = grad @ step / 2
+            gamma = gamma + step
+        if not (math.isfinite(decrement) and np.isfinite(gamma).all()):
             raise NonFiniteIterateError("Newton iterate overflowed")
+        converged = bool(decrement <= DECREMENT_TOL and (ridge or (signed * t <= 0).any()))
         iterations += 1
 
     try:

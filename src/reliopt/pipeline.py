@@ -6,9 +6,11 @@ swarm maximizations of the reliability, and reports the closed-form corner
 optimum together with distinct near-optimal prescriptions. Deliberately small
 iteration budgets leave the ensemble short of the corner, which is what makes
 the prescriptions actionable: interior ratio vectors that give up almost no
-reliability. A run that does reach the corner's value stops sweeping, when
-that value is at least 0.5 and so bounds every evaluation; its results are
-the ones the full budget gives.
+reliability. When the corner's value is at least 0.5, and so bounds every
+evaluation, a run stops sweeping once it reaches that value, or once nothing
+it can still reach scores above its best: its global best on the coordinates
+its whole swarm holds, with the corner's on the others, scores no higher.
+Its results are the ones the full budget gives.
 """
 
 from __future__ import annotations
@@ -142,12 +144,17 @@ def select_prescriptions(
     whether that is worth a warning.
     """
     ranked = sorted(ensemble, key=lambda run: -run.best_value)
+    # every run's normalized_distance from the corner, by the same operations
+    positions = np.reshape([run.best_position for run in ranked], (-1, bounds.n))
+    live = bounds.span > 0
+    gaps = np.abs(positions - corner.position)[:, live] / bounds.span[live]
+    from_corner = gaps.max(axis=1, initial=0.0)
     kept: list[Prescription] = []
-    for run in ranked:
+    for run, distance in zip(ranked, from_corner):
         if len(kept) == k:
             break
         position = run.best_position
-        if normalized_distance(position, corner.position, bounds) <= radius:
+        if distance <= radius:
             continue
         if any(
             normalized_distance(position, p.position, bounds) <= radius for p in kept
@@ -173,10 +180,13 @@ def optimize_reliability(
     corner = corner_optimum(model, bounds)
     seeds = range(config.base_seed, config.base_seed + config.n_runs)
     # At or above 0.5 the corner's value bounds every evaluation in float
-    # (see corner_optimum), so a run that reaches it stops sweeping.
-    ceiling = corner.value if corner.value >= 0.5 else None
+    # (see corner_optimum), so a run that reaches it stops sweeping, and so
+    # does a run whose reach, moved toward the corner, scores no higher
+    ceiling, vertex = (corner.value, corner.position) if corner.value >= 0.5 else (None, None)
     objective = partial(reliability_rows, model)
-    ensemble = tuple(maximize(objective, bounds, config.swarm, seeds, ceiling=ceiling))
+    ensemble = tuple(
+        maximize(objective, bounds, config.swarm, seeds, ceiling=ceiling, corner=vertex)
+    )
 
     prescriptions = tuple(
         select_prescriptions(

@@ -80,8 +80,9 @@ class SwarmResult:
     ``history[0]`` is the best value among the initial positions; one entry
     follows per update sweep, so ``len(history) == iterations_run + 1`` and
     the trace is non-decreasing with ``history[-1] == best_value``. A run
-    retired at ``maximize``'s ceiling repeats its best to the end of the
-    budget, which is what its remaining sweeps would have recorded.
+    retired at ``maximize``'s ceiling, or by its corner rule, repeats its
+    best to the end of the budget, which is what its remaining sweeps would
+    have recorded.
     """
 
     seed: int
@@ -101,6 +102,7 @@ def maximize(
     seeds: Iterable[int],
     *,
     ceiling: float | None = None,
+    corner: np.ndarray | None = None,
 ) -> list[SwarmResult]:
     """Run one seeded swarm per seed and return each run's global best.
 
@@ -117,6 +119,21 @@ def maximize(
     could have raised its best, and the other runs neither share its
     generator nor see its rows, every result is the one ``ceiling=None``
     gives, bit for bit.
+
+    ``corner``, if given, must be a box vertex that bounds the objective
+    from 0.5 up: a position scores no more than the same position with any
+    of its coordinates set to the corner's, when that one scores at least
+    0.5. ``corner_optimum``'s vertex does for the reliability. After a call
+    that raised no personal best, a run *holds* a coordinate when every
+    particle sits on its personal and global best there and its velocity
+    keeps it in place: positive at the upper bound, negative at the lower
+    bound, or exactly 0 at a position that is not 0. Every pull there is
+    then 0, so no later sweep moves it. One call scores a point per live
+    run, its global best on the coordinates it holds and the corner's value
+    on the others, and a run whose point scores at least 0.5 and no more
+    than its best is retired as at the ceiling: no position it can still
+    reach scores above its best. This retires stalled runs, whose particles
+    keep stepping by an ulp at a bound where the score is flat.
 
     The runs are stacked into one ``(runs, pop, n)`` swarm, in groups of at
     most ``STACK_FLOATS`` floats per array (at least one run each). Each run
@@ -137,8 +154,9 @@ def maximize(
     start or after a sweep that raised a best covers one. The objective
     gets C-contiguous float64 ``(k * live_runs * pop, n)`` blocks of
     ``k >= 1`` sweeps, sweep-major, then the live runs in seed order, which
-    the next call overwrites: an objective that keeps its rows copies them.
-    The sweeps of a call after the first one that raised a personal best are
+    the next call overwrites: an objective that keeps its rows copies them;
+    the corner rule's calls get one ``(live_runs, n)`` block of points. The
+    sweeps of a call after the first one that raised a personal best are
     discarded, and their draws serve the sweeps that follow. So the objective
     may score positions, all in the box, that no result reflects.
 
@@ -146,30 +164,33 @@ def maximize(
     placed as ``Generator.uniform`` places the same draws, after ``check_box``
     has refused a box in which the start or a sweep would overflow. Zero-width
     dimensions, also ``0.0`` to ``-0.0``, stay pinned at their bound; every
-    evaluated position is in the box. A swarm array too big for any address
-    space, or a swarm whose largest arrays and histories exceed physical
-    memory, is a MemoryError before anything is allocated.
+    evaluated position is in the box. A swarm whose group arrays and
+    histories exceed physical memory, or ``sys.maxsize`` bytes where that
+    is not known, is a MemoryError before anything is allocated.
     """
     check_box(bounds, config)
     seeds = list(seeds)
     pop, sweeps = config.population_size, config.max_iterations
     group = max(1, STACK_FLOATS // (pop * bounds.n))
-    # the largest arrays: two draws per coordinate, and the history; numpy
-    # would refuse one past sys.maxsize bytes with a ValueError
-    floats = min(group, len(seeds)) * max(2 * pop * bounds.n, sweeps + 1)
-    if 8 * floats > sys.maxsize:
-        raise MemoryError(f"a swarm array of {floats} floats is past any address space")
-    # every result keeps its sweeps + 1 history floats, across the groups
-    needed = 8 * (floats + len(seeds) * (sweeps + 1))
+    runs = min(group, len(seeds))
+    # A group holds about 16 arrays of runs * pop * n floats: the start (2),
+    # the position and velocity slots (1 each), the draws (2), the personal
+    # and global bests, the box (4), pull, the weights (2) and the
+    # objective's products; then its history, and every result's
+    needed = 8 * (16 * runs * pop * bounds.n + (runs + len(seeds)) * (sweeps + 1))
     try:
-        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError, OSError):  # no sysconf, or no answer
-        memory = sys.maxsize
-    if needed > memory > 0:  # sysconf gives -1 for a limit it cannot tell
+        answers = os.sysconf("SC_PAGE_SIZE"), os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):  # no sysconf, or no such name
+        answers = -1, -1
+    # sysconf gives -1 for a limit it cannot tell; past sys.maxsize bytes
+    # numpy cannot even index an array
+    memory = min(answers[0] * answers[1], sys.maxsize) if min(answers) > 0 else sys.maxsize
+    if needed > memory:
         raise MemoryError(f"a swarm of {needed} bytes is past the {memory} bytes of memory")
     results: list[SwarmResult] = []
     for start in range(0, len(seeds), group):
-        results += _stacked(objective, bounds, config, seeds[start : start + group], ceiling)
+        group_seeds = seeds[start : start + group]
+        results += _stacked(objective, bounds, config, group_seeds, ceiling, corner)
     return results
 
 
@@ -203,7 +224,8 @@ def check_box(bounds: Bounds, config: SwarmConfig, names: Sequence[str] | None =
 
 
 def _stacked(
-    objective, bounds: Bounds, config: SwarmConfig, seeds: list[int], ceiling: float | None
+    objective, bounds: Bounds, config: SwarmConfig, seeds: list[int], ceiling: float | None,
+    corner: np.ndarray | None,
 ) -> list[SwarmResult]:
     rngs = [np.random.default_rng(seed) for seed in seeds]
     span = bounds.span
@@ -304,7 +326,15 @@ def _stacked(
         drawn = max(kept, 0)
         x, v = xs[at], vs[at]
         # a run's best reaches the ceiling only in a sweep that raised it
-        if ceiling is not None and changed and (done := best >= ceiling).any():
+        done = best >= ceiling if changed and ceiling is not None else None
+        if not changed and corner is not None:
+            # the coordinates a run holds stay at its global best; every
+            # other one scores at most as the corner's does
+            still = np.where(v > 0, x == upper, np.where(v < 0, x == lower, x != 0))
+            held = (still & (x == best_positions) & (x == global_best)).all(axis=1)
+            reach = np.asarray(objective(np.where(held, global_best[:, 0], corner)), float)
+            done = (reach >= 0.5) & (reach <= best)
+        if done is not None and done.any():
             finish(np.flatnonzero(done))  # no later sweep can raise these runs' best
             live = ~done
             rngs = [rng for rng, keep in zip(rngs, live) if keep]

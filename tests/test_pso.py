@@ -289,7 +289,7 @@ class TestMaximize:
     @pytest.mark.parametrize("pop, iters", [(10**18, 1), (4, 10**18), (4, sys.maxsize)])
     def test_arrays_past_numpys_index_range_are_out_of_memory(self, pop, iters):
         # numpy refused these with "array is too big", a ValueError
-        with pytest.raises(MemoryError, match="past any address space"):
+        with pytest.raises(MemoryError, match="bytes of memory"):
             maximize(sphere, unit_box(2), swarm(pop, iters), [0, 1])
 
     def test_histories_past_physical_memory_are_out_of_memory(self, monkeypatch):
@@ -306,6 +306,29 @@ class TestMaximize:
         monkeypatch.setattr(pso, "_stacked", unreached)
         with pytest.raises(MemoryError, match="bytes of memory"):
             maximize(sphere, unit_box(2), swarm(2, memory // 16), [0, 1, 2])
+
+    def test_a_group_past_physical_memory_is_refused_before_stacking(self, monkeypatch):
+        # 2**20 particles in 2 dimensions: the largest array, the start's or
+        # the draws' 2**22 floats, is 32 MiB of the 64 MiB, but the group's
+        # 16 arrays of 2**21 floats are 256 MiB
+        answers = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**26 // 4096}
+        monkeypatch.setattr(os, "sysconf", answers.__getitem__)
+
+        def unreached(*args):
+            raise AssertionError("a group was stacked")
+
+        monkeypatch.setattr(pso, "_stacked", unreached)
+        with pytest.raises(MemoryError, match=f"past the {2**26} bytes of memory"):
+            maximize(sphere, unit_box(2), swarm(2**20, 1), [0])
+
+    @pytest.mark.parametrize("sysconf", [lambda name: -1, None])
+    def test_memory_that_cannot_be_told_is_sys_maxsize_bytes(self, monkeypatch, sysconf):
+        if sysconf is None:
+            monkeypatch.delattr(os, "sysconf")
+        else:
+            monkeypatch.setattr(os, "sysconf", sysconf)
+        with pytest.raises(MemoryError, match=f"past the {sys.maxsize} bytes of memory"):
+            maximize(sphere, unit_box(2), swarm(10**18, 1), [0])
 
     def test_sphere_reaches_analytic_maximum(self):
         (result,) = maximize(sphere, unit_box(3), swarm(30, 200), [0])
@@ -871,6 +894,140 @@ class TestCeiling:
         )
         assert calls == [(30, 3)] * 5
         same_results(results, maximize(sphere, unit_box(3), swarm(6, 4), range(5)))
+
+
+def walls(rows):
+    # every coordinate adds 0.1 at its lower bound 0 and 0.2 at its upper
+    # bound 1, so the vertex of ones bounds every position coordinatewise
+    return 0.5 + 0.1 * (rows == 0.0).sum(axis=1) + 0.2 * (rows == 1.0).sum(axis=1)
+
+
+class TestCornerRule:
+    """Runs retired by the corner rule give the results of the full budget."""
+
+    @given(
+        n=st.integers(1, 5),
+        pop=st.integers(2, 10),
+        iters=st.integers(1, 80),
+        seeds=st.lists(st.integers(0, 2**32), min_size=1, max_size=5),
+        case=st.integers(0, 2**32 - 1),
+        slopes=st.lists(
+            st.sampled_from([0.0, -0.0, 5e-324, -1e-300, 1e-12]) | st.floats(-3, 3),
+            min_size=5, max_size=5,
+        ),
+        units=st.lists(st.floats(-20, 20), min_size=5, max_size=5),
+        pinned=st.lists(
+            st.sampled_from([None, None, None, 2.5, 0.0, -0.0, (-0.0, 0.0)]),
+            min_size=5, max_size=5,
+        ),
+        margin=st.sampled_from([0.0, 1e-12, 40.0]) | st.floats(0, 40),
+        scalar_rand=st.booleans(),
+        c1=st.sampled_from([0.0, 2.0]) | st.floats(0, 4),
+        c2=st.sampled_from([0.0, 2.0]) | st.floats(0, 4),
+        w_end=st.sampled_from([0.0, 0.4]),
+        clamp=st.sampled_from([1.0]) | st.floats(1e-3, 1),
+        with_ceiling=st.booleans(),
+        runs_per_group=st.sampled_from([None, 1, 2, 3]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_corner_rule_changes_no_result_bit(
+        self, n, pop, iters, seeds, case, slopes, units, pinned, margin, scalar_rand, c1, c2,
+        w_end, clamp, with_ceiling, runs_per_group,
+    ):
+        # the boxes and models of test_ceiling_changes_no_result_bit
+        rng = np.random.default_rng(case)
+        unit = 10.0 ** np.array(units[:n])
+        lower = rng.uniform(-3.0, 0.0, n) * unit
+        upper = lower + rng.uniform(0.1, 4.0, n) * unit
+        for j, at in enumerate(pinned[:n]):
+            if at is not None:
+                lower[j], upper[j] = at if isinstance(at, tuple) else (at, at)
+        slope = np.array(slopes[:n]) / unit
+        score = 0.0
+        for s, low, high in zip(slope, lower, upper):
+            score += (high if s > 0 else low) * s
+        model = LogisticModel(
+            beta=np.concatenate([[margin - score], slope]),
+            feature_names=tuple(f"x{i}" for i in range(n)),
+        )
+        bounds = Bounds(lower, upper)
+        corner = corner_optimum(model, bounds)
+        assume(corner.value >= 0.5)
+        objective = partial(reliability_rows, model)
+        config = swarm(
+            pop, iters, scalar_rand=scalar_rand, c1=c1, c2=c2, w_end=w_end,
+            velocity_clamp_fraction=clamp,
+        )
+        ceiling = corner.value if with_ceiling else None
+        with pytest.MonkeyPatch.context() as patch:
+            if runs_per_group is not None:
+                patch.setattr(pso, "STACK_FLOATS", runs_per_group * pop * n)
+            full = maximize(objective, bounds, config, seeds)
+            retired = maximize(
+                objective, bounds, config, seeds, ceiling=ceiling, corner=corner.position
+            )
+        same_results(retired, full)
+        same_results(retired, reference_maximize(objective, bounds, config, seeds))
+
+    def test_a_run_retires_on_a_coordinate_it_does_not_hold(self):
+        # seed 587 stalls short of the corner's value: its swarm holds ratio
+        # 0 at the upper bound, the corner's other side, and ratios 2 and 3
+        # at the corner's, but no particle sits on its global best in ratio
+        # 1; its point takes the corner's ratio 1 and scores its best, where
+        # the score is flat (inputs found by search)
+        beta = [33.58822044034154, -0.24420234897688378, 0.05038385912819721,
+                868.1447055797505, 222.2849947224541]
+        lower = [-21.214308310924096, -126.3018923184065,
+                 -0.00014558341260210043, -0.02664613903294219]
+        upper = [-15.37426961169096, -70.14942020733406,
+                 0.0010440637242957855, 0.00773323411071683]
+        model = LogisticModel(beta=np.array(beta), feature_names=("a", "b", "c", "d"))
+        bounds = Bounds(np.array(lower), np.array(upper))
+        corner = corner_optimum(model, bounds)
+        objective = partial(reliability_rows, model)
+        config, seeds = swarm(4, 44), [587]
+        recording, calls = recorder(objective)
+        results = maximize(
+            recording, bounds, config, seeds, ceiling=corner.value, corner=corner.position
+        )
+        assert [len(rows) for rows, _ in calls] == [4] * 7 + [1]
+        (point,), (reach,) = calls[-1]
+        (run,) = results
+        assert run.best_value == reach < corner.value
+        assert point[1] == corner.position[1] != run.best_position[1]
+        assert point[0] == run.best_position[0] != corner.position[0]
+        same_results(results, maximize(objective, bounds, config, seeds))
+        same_results(results, reference_maximize(objective, bounds, config, seeds))
+
+    @pytest.mark.parametrize(
+        "n, pop, iters, w_end, seed",
+        [(2, 2, 26, 0.0, 13), (2, 3, 64, 0.4, 857), (2, 2, 58, 0.4, 809), (1, 5, 19, 0.4, 709)],
+    )
+    def test_a_run_retires_only_on_coordinates_every_particle_holds(
+        self, n, pop, iters, w_end, seed
+    ):
+        # on these walls a run stalls with its particles at bounds, all but
+        # one on its global best, and one of them later finds a better bound;
+        # a rule that counted a coordinate as held with one particle off its
+        # global best, or off its personal best, would retire the run too
+        # soon (seeds found by search)
+        bounds, config = unit_box(n), swarm(pop, iters, w_end=w_end)
+        results = maximize(walls, bounds, config, [seed], corner=np.ones(n))
+        same_results(results, maximize(walls, bounds, config, [seed]))
+        same_results(results, reference_maximize(walls, bounds, config, [seed]))
+
+    def test_a_point_below_one_half_retires_nothing(self):
+        # the corner bounds nothing under 0.5: this objective rises in steps
+        # toward the upper bound but scores the bound itself 0, so a stalled
+        # run's point scores under its best while the run can still rise
+        def dip(rows):
+            return np.where(rows[:, 0] == 1.0, 0.0, np.floor(rows[:, 0] * 1024) / 4096)
+
+        config = swarm(4, 20)
+        calls = []
+        results = maximize(counted(dip, calls), unit_box(1), config, range(3), corner=np.ones(1))
+        assert (3, 1) in calls  # the three runs' points: sweeps come in blocks of 4k rows
+        same_results(results, maximize(dip, unit_box(1), config, range(3)))
 
 
 class TestCornerConvergence:
