@@ -7,10 +7,11 @@ optimum together with distinct near-optimal prescriptions. Deliberately small
 iteration budgets leave the ensemble short of the corner, which is what makes
 the prescriptions actionable: interior ratio vectors that give up almost no
 reliability. When the corner's value is at least 0.5, and so bounds every
-evaluation, a run stops sweeping once it reaches that value, or once nothing
-it can still reach scores above its best: its global best on the coordinates
-its whole swarm holds, with the corner's on the others, scores no higher.
-Its results are the ones the full budget gives.
+evaluation, a run stops sweeping once it reaches that value, once nothing
+it can still reach scores above its best (its global best on the coordinates
+its whole swarm holds, with the corner's on the others, scores no higher),
+or once its swarm holds every coordinate and so never moves again. Its
+results are the ones the full budget gives.
 """
 
 from __future__ import annotations
@@ -181,7 +182,8 @@ def optimize_reliability(
     seeds = range(config.base_seed, config.base_seed + config.n_runs)
     # At or above 0.5 the corner's value bounds every evaluation in float
     # (see corner_optimum), so a run that reaches it stops sweeping, and so
-    # does a run whose reach, moved toward the corner, scores no higher
+    # does a frozen run, or one whose reach, moved toward the corner, scores
+    # no higher
     ceiling, vertex = (corner.value, corner.position) if corner.value >= 0.5 else (None, None)
     objective = partial(reliability_rows, model)
     ensemble = tuple(

@@ -7,8 +7,7 @@ The canonical update, per particle and coordinate:
 
 with the inertia weight w falling linearly from ``w_start`` to ``w_end``
 across the iteration budget. Runs are bit-reproducible for a given seed,
-whether run alone or stacked with others, and however many sweeps one
-objective call scores.
+whether run alone or stacked with others.
 """
 
 from __future__ import annotations
@@ -133,32 +132,25 @@ def maximize(
     on the others, and a run whose point scores at least 0.5 and no more
     than its best is retired as at the ceiling: no position it can still
     reach scores above its best. This retires stalled runs, whose particles
-    keep stepping by an ulp at a bound where the score is flat.
+    keep stepping by an ulp at a bound where the score is flat. A run that
+    holds every coordinate is frozen, its point is its global best, and it
+    is retired whatever that scores: it never moves again.
 
     The runs are stacked into one ``(runs, pop, n)`` swarm, in groups of at
     most ``STACK_FLOATS`` floats per array (at least one run each). Each run
     keeps its own ``np.random.default_rng(seed)`` and draws in a frozen order:
     one ``random`` call for the start, initial positions then velocities, both
     particle-major; per update sweep one ``(pop, 2, n)`` block, i.e. r1 then
-    r2 for particle 0, then particle 1, and so on, where one call may fill the
-    blocks of several sweeps. A stacked run is therefore bit-identical to the
-    same seed run alone.
+    r2 for particle 0, then particle 1, and so on. A stacked run is therefore
+    bit-identical to the same seed run alone.
 
     A sweep is a fixed set of in-place operations on buffers allocated once
     per group, taken in the order the formula above reads, so every value
-    rounds as it would in a fresh array per step, from the same draws. While
-    no personal best of a group rises, its bests are fixed and its next
-    positions follow from the draws alone, so one objective call scores
-    several sweeps: twice as many as the group's last call, up to the budget
-    left and to ``STACK_FLOATS // 16`` floats of positions; the call after the
-    start or after a sweep that raised a best covers one. The objective
-    gets C-contiguous float64 ``(k * live_runs * pop, n)`` blocks of
-    ``k >= 1`` sweeps, sweep-major, then the live runs in seed order, which
-    the next call overwrites: an objective that keeps its rows copies them;
-    the corner rule's calls get one ``(live_runs, n)`` block of points. The
-    sweeps of a call after the first one that raised a personal best are
-    discarded, and their draws serve the sweeps that follow. So the objective
-    may score positions, all in the box, that no result reflects.
+    rounds as it would in a fresh array per step, from the same draws. Each
+    objective call scores one sweep: the objective gets C-contiguous float64
+    ``(live_runs * pop, n)`` blocks, the live runs in seed order, which the
+    next sweep overwrites, so an objective that keeps its rows copies them;
+    the corner rule's calls get one ``(live_runs, n)`` block of points.
 
     Positions start uniform in the box and velocities in ``+-(upper - lower)``,
     placed as ``Generator.uniform`` places the same draws, after ``check_box``
@@ -174,9 +166,9 @@ def maximize(
     group = max(1, STACK_FLOATS // (pop * bounds.n))
     runs = min(group, len(seeds))
     # A group holds about 16 arrays of runs * pop * n floats: the start (2),
-    # the position and velocity slots (1 each), the draws (2), the personal
-    # and global bests, the box (4), pull, the weights (2) and the
-    # objective's products; then its history, and every result's
+    # the positions and velocities, the draws (2), the personal and global
+    # bests, the box (4), pull, the weights (2) and the objective's
+    # products; then its history, and every result's
     needed = 8 * (16 * runs * pop * bounds.n + (runs + len(seeds)) * (sweeps + 1))
     try:
         answers = os.sysconf("SC_PAGE_SIZE"), os.sysconf("SC_PHYS_PAGES")
@@ -236,31 +228,17 @@ def _stacked(
     def full(rows):
         return np.broadcast_to(rows, shape).copy()
 
-    # One position and one velocity slot per sweep a call may cover, and each
-    # run's draws for as many: STACK_FLOATS // 16 floats of positions, or one
-    # sweep. Allocated once per group and viewed in the live runs' shapes.
-    room = max(runs * pop * n, STACK_FLOATS // 16)
-    room_x, room_v, room_draws = np.empty(room), np.empty(room), np.empty(room // n * 2 * width)
-
-    def slots(runs):
-        cap = max(1, STACK_FLOATS // (16 * runs * pop * n))
-        floats = cap * runs * pop * n
-        return (room_x[:floats].reshape(cap, runs, pop, n),
-                room_v[:floats].reshape(cap, runs, pop, n),
-                room_draws[: floats // n * 2 * width].reshape(runs, cap, pop, 2, width))
-
-    xs, vs, draws = slots(runs)
     start = np.empty((runs, 2, pop, n))
     for rng, block in zip(rngs, start):
         rng.random(out=block)
-    xs[0] = bounds.lower + span * start[:, 0]
-    vs[0] = 2 * span * start[:, 1] - span
+    x = bounds.lower + span * start[:, 0]
+    v = 2 * span * start[:, 1] - span
 
     # the start is evaluation 0: each best starts at -inf, led by the first particle
-    best_positions = xs[0].copy()
+    best_positions = x.copy()
     best_values = np.full((runs, pop), -np.inf)
     best = np.full(runs, -np.inf)
-    global_best = full(xs[0][:, :1])
+    global_best = full(x[:, :1])
     sweeps = config.max_iterations
     # each seed's best after each sweep that raised a personal best, -inf
     # after the others: a run's trace is the running maximum of its row
@@ -282,8 +260,8 @@ def _stacked(
             np.maximum(values, low, out=values)
             np.minimum(values, high, out=values)
 
-    weights = np.broadcast_to(np.array([[config.c1], [config.c2]]), (runs, 1, pop, 2, width))
-    weights = weights.copy()
+    rand = np.empty((runs, pop, 2, width))  # each sweep's c1*r1 and c2*r2
+    weights = np.broadcast_to(np.array([[config.c1], [config.c2]]), rand.shape).copy()
     results: list = [None] * runs  # each seed's SwarmResult, in seed order
     place = np.arange(runs)  # each live run's index in seeds
 
@@ -293,24 +271,13 @@ def _stacked(
             trace = np.maximum.accumulate(history[i])
             results[i] = SwarmResult(seeds[i], global_best[r, 0], float(best[r]), sweeps, trace)
 
-    # A call scores slots 0 to k - 1, sweep-major, then runs in seed order;
-    # the state is the slot of the last sweep kept, and draws[:, :drawn] are
-    # weighted draws made for sweeps still to come.
-    sweep, k, drawn = 0, 1, 0  # the call's first sweep (the start's is 0)
+    sweep = 0  # the sweep whose positions x holds (the start's is 0)
     while True:
-        block = xs[:k].reshape(k * runs * pop, n)
-        values = np.asarray(objective(block), float).reshape(k, runs, pop)
+        values = np.asarray(objective(x.reshape(runs * pop, n)), float).reshape(runs, pop)
         improved = values > best_values
         if changed := improved.any():
-            # the first sweep that raised a personal best is kept, and those
-            # after it discarded: they moved by bests that no longer hold
-            at = next(j for j, raised in enumerate(improved) if raised.any())
-        else:
-            at = k - 1
-        sweep += at  # the sweeps before it raised none
-        if changed:
-            np.copyto(best_positions, xs[at], where=improved[at, :, :, np.newaxis])
-            np.copyto(best_values, values[at], where=improved[at])
+            np.copyto(best_positions, x, where=improved[:, :, np.newaxis])
+            np.copyto(best_values, values, where=improved)
             run = np.arange(runs)
             leader = np.argmax(best_values, axis=1)
             top = best_values[run, leader]
@@ -320,11 +287,6 @@ def _stacked(
             history[place, sweep] = best
         if sweep == sweeps:
             break
-        # the draws of the discarded sweeps serve the next ones
-        if (kept := drawn - at - 1) > 0:
-            draws[:, :kept] = draws[:, at + 1 : drawn]
-        drawn = max(kept, 0)
-        x, v = xs[at], vs[at]
         # a run's best reaches the ceiling only in a sweep that raised it
         done = best >= ceiling if changed and ceiling is not None else None
         if not changed and corner is not None:
@@ -333,7 +295,7 @@ def _stacked(
             still = np.where(v > 0, x == upper, np.where(v < 0, x == lower, x != 0))
             held = (still & (x == best_positions) & (x == global_best)).all(axis=1)
             reach = np.asarray(objective(np.where(held, global_best[:, 0], corner)), float)
-            done = (reach >= 0.5) & (reach <= best)
+            done = held.all(axis=1) | (reach >= 0.5) & (reach <= best)
         if done is not None and done.any():
             finish(np.flatnonzero(done))  # no later sweep can raise these runs' best
             live = ~done
@@ -344,39 +306,26 @@ def _stacked(
             x, v, best_positions, best_values, best, global_best = (
                 state[live] for state in (x, v, best_positions, best_values, best, global_best)
             )
-            place, kept_draws = place[live], draws[live, :drawn]
-            xs, vs, draws = slots(runs)
-            draws[:, :drawn] = kept_draws
+            place = place[live]
             # alike for every run, or scratch: their first rows serve as views,
             # so these copy nothing and the peak memory stays where it was
-            lower, upper, v_max, v_min, pull, weights = (
-                state[:runs] for state in (lower, upper, v_max, v_min, pull, weights)
+            lower, upper, v_max, v_min, pull, weights, rand = (
+                state[:runs] for state in (lower, upper, v_max, v_min, pull, weights, rand)
             )
-        # one sweep after the start or a sweep that raised a best; then, while
-        # none rises, each call covers twice the sweeps of the last
-        k = 1 if changed or not sweep else min(2 * k, len(xs), sweeps - sweep)
-        if drawn < k:
-            fresh = draws[:, drawn:k]
-            for rng, block in zip(rngs, fresh):
-                rng.random(out=block)
-            fresh *= weights  # c1*r1 and c2*r2
-            drawn = k
-        for slot in range(k):
-            step = (sweep + slot) / max(sweeps - 1, 1)
-            w = config.w_start + (config.w_end - config.w_start) * step
-            rand = draws[:, slot]
-            velocities, positions = vs[slot], xs[slot]
-            np.multiply(v, w, out=velocities)
-            np.subtract(best_positions, x, out=pull)
-            pull *= rand[:, :, 0]
-            velocities += pull
-            np.subtract(global_best, x, out=pull)
-            pull *= rand[:, :, 1]
-            velocities += pull
-            clamp(velocities, v_min, v_max)
-            np.add(x, velocities, out=positions)
-            clamp(positions, lower, upper)
-            x, v = positions, velocities
+        for rng, block in zip(rngs, rand):
+            rng.random(out=block)
+        rand *= weights
+        w = config.w_start + (config.w_end - config.w_start) * (sweep / max(sweeps - 1, 1))
+        v *= w
+        np.subtract(best_positions, x, out=pull)
+        pull *= rand[:, :, 0]
+        v += pull
+        np.subtract(global_best, x, out=pull)
+        pull *= rand[:, :, 1]
+        v += pull
+        clamp(v, v_min, v_max)
+        x += v
+        clamp(x, lower, upper)
         sweep += 1
 
     finish(range(runs))

@@ -8,7 +8,8 @@ run has read since the stacked swarm; ``paper`` is also pinned at input
 seeds 0 and 2, whose swarms leave more runs short of the corner's value
 (9 and 5 of 25, against 1 at seed 1). The CSV that ``reliopt gen`` writes
 for the README's example is pinned as well. A change that moves one report
-byte, such as scoring with a BLAS product, fails here. The hashes were taken
+byte, such as scoring with a BLAS product, fails here, and so does one that
+changes how many rows the swarm scores on these inputs. The hashes were taken
 with numpy 2.4.6 on Python 3.11.7.
 """
 
@@ -32,12 +33,20 @@ REPORT_SHA256 = {
     "prescribe": "905f6cad0346d1388053509fab2066dfba8765ff0e287212935a56b18363bb4f",
 }
 
-# seed 0: 9 runs never reach the corner's value, and each of the 201 objective
-# calls scores one sweep; seed 2: 5 runs never do, and most of its 78 calls
-# score several sweeps of the runs left
+# seed 0: 9 runs never reach the corner's value, seed 2: 5 never do; the
+# corner rule retires them, and each seed's swarm makes 17 objective calls
 PAPER_SHA256_BY_SEED = {
     0: "00182a8e8c2441e0d5eaaaf1f5109d8f772e540879ed20c1e548a7bbfba1dcf3",
     2: "8949de2964167263aac995069af27e3e23162b1a52c0ddb8eb65ec24669110db",
+}
+
+# the swarm's objective calls and the rows they score, by workload and input
+# seed, the corner rule's calls of one row per live run included
+CALLS_AND_ROWS = {
+    ("paper", 0): (17, 7_569),
+    ("paper", 2): (17, 6_275),
+    ("scale", 1): (4, 2_000),
+    ("prescribe", 1): (4, 2_000),
 }
 
 # reliopt gen --features 9 --rows 200 --seed 1, as in the README
@@ -133,3 +142,24 @@ def test_paper_swarm_retires_its_stalled_run(inputs, monkeypatch):
     pipeline.optimize_reliability(model, reliopt.compute_bounds(dataset), config)
     assert len(calls) == 11 and calls[-2:] == [30, 1]
     assert sum(calls) == 3_751
+
+
+@pytest.mark.parametrize("name, seed", sorted(CALLS_AND_ROWS))
+def test_swarm_calls_and_rows_are_pinned(perfbench, inputs, tmp_path, monkeypatch, name, seed):
+    # every call of scale and prescribe raises a personal best, so their runs
+    # sweep the whole budget; paper's stalled runs retire by the corner rule
+    ops, run = perfbench
+    workload = ops.WORKLOADS[name]
+    data, model = inputs[name]
+    if seed != 1:
+        data = tmp_path / f"{name}.csv"
+        run.write_inputs(workload, seed, data)
+    calls = []
+
+    def counting(model, rows):
+        calls.append(len(rows))
+        return reliability_rows(model, rows)
+
+    monkeypatch.setattr(pipeline, "reliability_rows", counting)
+    ops.operation(reliopt, workload, data, model)
+    assert (len(calls), sum(calls)) == CALLS_AND_ROWS[name, seed]

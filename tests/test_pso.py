@@ -495,19 +495,17 @@ class TestStackedRuns:
             assert reliability(model, result.best_position) == result.best_value
 
     def test_each_objective_call_scores_whole_sweeps_of_all_runs(self):
-        # every sweep raises a best: one sweep per call
+        # one sweep per call, whether every sweep raises a best or, on a flat
+        # objective, none after the start does
         calls = []
         maximize(counted(sphere, calls), unit_box(3), swarm(6, 4), seeds=range(5))
         assert calls == [(30, 3)] * 5
-        # a flat objective raises no best after the start: calls of 1, 2 and
-        # 4 sweeps, then the one sweep left in the budget
         calls.clear()
         maximize(counted(flat, calls), unit_box(3), swarm(6, 8), seeds=range(5))
-        assert calls == [(30, 3), (30, 3), (60, 3), (120, 3), (30, 3)]
+        assert calls == [(30, 3)] * 9
 
     def test_objective_gets_one_c_contiguous_float64_block(self, monkeypatch):
-        # user objectives may rely on this layout: (sweeps*runs*pop, n) rows,
-        # C order
+        # user objectives may rely on this layout: (runs*pop, n) rows, C order
         blocks = []
 
         def probe(rows):
@@ -517,7 +515,7 @@ class TestStackedRuns:
         maximize(probe, unit_box(3), swarm(6, 4), seeds=range(5))
         monkeypatch.setattr(pso, "STACK_FLOATS", 2 * 6 * 3)
         maximize(probe, unit_box(3), swarm(6, 4, scalar_rand=True), seeds=range(5))
-        shapes = [(30, 3), (30, 3), (60, 3), (30, 3)] + [(12, 3)] * 10 + [(6, 3)] * 5
+        shapes = [(30, 3)] * 5 + [(12, 3)] * 10 + [(6, 3)] * 5
         assert blocks == [(shape, np.float64, True) for shape in shapes]
 
     def test_groups_bound_the_stacked_arrays(self, monkeypatch):
@@ -527,11 +525,6 @@ class TestStackedRuns:
         monkeypatch.setattr(pso, "STACK_FLOATS", 2 * 6 * 3)
         maximize(counted(flat, calls), unit_box(3), swarm(6, 4), seeds=range(5))
         assert calls == [(12, 3)] * 10 + [(6, 3)] * 5
-        # a sixteenth of STACK_FLOATS holds two sweeps of all five runs
-        calls.clear()
-        monkeypatch.setattr(pso, "STACK_FLOATS", 16 * 2 * 5 * 6 * 3)
-        maximize(counted(flat, calls), unit_box(3), swarm(6, 8), seeds=range(5))
-        assert calls == [(30, 3), (30, 3)] + [(60, 3)] * 3 + [(30, 3)]
 
 
 def same_bits(a, b):
@@ -565,26 +558,12 @@ def kept_sweeps(calls, holds, pop):
     and the calls after the group's.
 
     ``holds[e]`` marks the runs whose rows evaluation ``e`` holds, in seed
-    order. A call holds whole sweeps, never past the budget; the sweeps after
-    the first one in it that raised a personal best are dropped, and no
-    others.
+    order; each call scores one sweep, the rows of those runs.
     """
-    best = np.full((holds.shape[1], pop), -np.inf)
-    kept = []
-    for used, (rows, values) in enumerate(calls, 1):
-        size = holds[len(kept)].sum() * pop
-        assert len(rows) % size == 0 and len(rows) // size <= len(holds) - len(kept)
-        for at in range(0, len(rows), size):
-            runs = holds[len(kept)]
-            sweep = values[at : at + size].reshape(-1, pop)
-            kept.append(rows[at : at + size])
-            raised = sweep > best[runs]
-            best[runs] = np.where(raised, sweep, best[runs])
-            if raised.any():
-                break
-        if len(kept) == len(holds):
-            return kept, calls[used:]
-    raise AssertionError(f"{len(kept)} sweeps evaluated of {len(holds)}")
+    kept = [rows for rows, _ in calls[: len(holds)]]
+    assert len(kept) == len(holds), f"{len(kept)} sweeps evaluated of {len(holds)}"
+    assert all(len(rows) == runs.sum() * pop for rows, runs in zip(kept, holds))
+    return kept, calls[len(holds) :]
 
 
 def evaluations(calls, config):
@@ -623,8 +602,8 @@ class TestReferenceSweep:
         c2=st.sampled_from([0.0, 2.0]) | st.floats(0, 4),
         w_end=st.sampled_from([0.0, 0.4]) | st.floats(0, 0.9),
         clamp=st.sampled_from([1.0]) | st.floats(1e-3, 1),
-        # STACK_FLOATS in swarms of pop * n: groups of 1, 2 or 3 runs, one
-        # sweep per call; or calls of up to 2, 3 or 7 sweeps of 6 live runs
+        # STACK_FLOATS in swarms of pop * n: groups of 1, 2 or 3 runs; or
+        # of 192, 288 or 672 runs, which hold every run in one group
         stack=st.sampled_from([None, 1, 2, 3, 16 * 2 * 6, 16 * 3 * 6, 16 * 7 * 6]),
     )
     @settings(max_examples=150, deadline=None)
@@ -695,42 +674,6 @@ class TestReferenceSweep:
         for got, want in zip(results, expected):
             assert same_bits(got.best_position, want.best_position)
             assert same_bits(got.history, want.history)
-
-
-class TestStalledCalls:
-    """A call of several sweeps against the reference's one sweep per call."""
-
-    @pytest.mark.parametrize("scalar_rand", [False, True])
-    @pytest.mark.parametrize("seeds", [[0], [1, 2], [3, 4, 5]])
-    def test_a_call_cut_short_replays_its_kept_draws(self, seeds, scalar_rand):
-        # four particles stall often, and a best rises again inside a call;
-        # the sweeps after it were drawn for, and their draws serve the next
-        config = swarm(4, 40, scalar_rand=scalar_rand)
-        recording, calls = recorder(sphere)
-        results = maximize(recording, unit_box(2), config, seeds)
-        expected, evaluated = recorded(reference_maximize, sphere, unit_box(2), config, seeds)
-        same_results(results, expected)
-        assert same_bits(evaluations(calls, config), evaluated)
-        scored = sum(len(rows) for rows, _ in calls) // (4 * len(seeds))
-        assert scored > 41  # some sweeps were discarded
-
-    def test_the_call_after_a_rise_covers_one_sweep(self):
-        # and one after the start; while no best rises, each call covers
-        # twice the sweeps of the last, within the budget
-        recording, calls = recorder(sphere)
-        maximize(recording, unit_box(2), swarm(4, 40), [0])
-        best, covered, sweep = np.full(4, -np.inf), 1, -1  # the last sweep kept
-        for rows, values in calls:
-            assert len(rows) == 4 * covered
-            for values_at in values.reshape(-1, 4):
-                sweep += 1
-                raised = values_at > best
-                best = np.where(raised, values_at, best)
-                if raised.any():
-                    break
-            covered = 1 if raised.any() or sweep == 0 else min(2 * covered, 40 - sweep)
-        assert sweep == 40
-        assert max(len(rows) for rows, _ in calls) >= 4 * 4
 
 
 def paper_like_problem():
@@ -817,8 +760,6 @@ class TestCeiling:
         rows = sum(shape[0] for shape in calls)
         assert rows < pop * (iters + 1) * runs
         assert calls[-1][0] < calls[0][0] == pop * runs
-        # the runs left stall: their sweeps come many to a call
-        assert len(calls) < (iters + 1) / 4
         assert any(run.best_value == corner.value for run in retired)
         same_results(retired, maximize(partial(reliability_rows, model), bounds, config, range(runs)))
 
@@ -854,25 +795,6 @@ class TestCeiling:
         values = np.stack([objective(rows) for rows in evaluated]).reshape(iters + 1, runs, pop)
         raised = values[1:] > np.maximum.accumulate(values, axis=0)[:-1]
         assert (~(raised.any(axis=2) & live[:, :-1].T).any(axis=1)).sum() >= 100
-
-    def test_a_retirement_keeps_the_draws_of_a_discarded_sweep(self):
-        # a call of sweeps 2 and 3 whose first retires seed 908: the draws
-        # made for the second serve seed 907's sweep 3 (inputs found by search)
-        beta = [13.365287305616441, 4.866530338867893, 9.333130597524178,
-                2.5319160454295737, 5.628384619867198]
-        lower = [0.3155315145349845, -0.07833531309666782, -0.5993499674814546, 0.6653893261286067]
-        upper = [2.4466491823933114, 1.071065338007367, 1.29721589523794, 1.1018091592487078]
-        model = LogisticModel(beta=np.array(beta), feature_names=("a", "b", "c", "d"))
-        bounds = Bounds(np.array(lower), np.array(upper))
-        corner = corner_optimum(model, bounds)
-        assert corner.value == 1.0
-        objective = partial(reliability_rows, model)
-        config, seeds = swarm(2, 42, w_end=0.0), [907, 908]
-        calls = []
-        results = maximize(counted(objective, calls), bounds, config, seeds, ceiling=corner.value)
-        assert [rows for rows, _ in calls] == [4, 4, 8, 2, 2]
-        same_results(results, maximize(objective, bounds, config, seeds))
-        same_results(results, reference_maximize(objective, bounds, config, seeds))
 
     def test_group_ends_when_every_run_is_retired(self):
         # a zero slope: every position scores the corner's value, so every
@@ -1026,8 +948,36 @@ class TestCornerRule:
         config = swarm(4, 20)
         calls = []
         results = maximize(counted(dip, calls), unit_box(1), config, range(3), corner=np.ones(1))
-        assert (3, 1) in calls  # the three runs' points: sweeps come in blocks of 4k rows
+        assert (3, 1) in calls  # the three runs' points: sweeps come in blocks of 12 rows
         same_results(results, maximize(dip, unit_box(1), config, range(3)))
+
+    def test_a_frozen_run_below_one_half_retires(self):
+        # the corner scores 0.6225, but seed 27 freezes at 0.4681 by sweep 9:
+        # every particle holds every ratio, so the run retires although its
+        # point, its global best, scores under 0.5 (inputs found by search)
+        beta = [-11.569265313671602, -0.038106834376312064, 0.0011502384426035073,
+                -6.437706773460224, 0.0001698801203957972, -0.9427866736629702,
+                0.1011858250075624, 0.6787278399802866, -0.03480450697827725,
+                0.5298954910143507]
+        lower = [-21.9357, -17.1601, -1.23346, -16.1512, 0.263947, -7.62871, -0.633789,
+                 -15.0532, -3.50418]
+        upper = [20.7098, 9.89023, -0.692488, 14.9326, 0.929991, 9.0304, 0.772357,
+                 15.7671, 2.95484]
+        model = LogisticModel(beta=np.array(beta), feature_names=tuple(f"r{i}" for i in range(9)))
+        bounds = Bounds(np.array(lower), np.array(upper))
+        corner = corner_optimum(model, bounds)
+        objective = partial(reliability_rows, model)
+        config, seeds = swarm(30, 200), [27]
+        calls = []
+        results = maximize(
+            counted(objective, calls), bounds, config, seeds, ceiling=corner.value,
+            corner=corner.position,
+        )
+        (run,) = results
+        assert run.best_value < 0.5 < corner.value
+        assert sum(rows for rows, _ in calls) < 30 * 201
+        same_results(results, maximize(objective, bounds, config, seeds, ceiling=corner.value))
+        same_results(results, maximize(objective, bounds, config, seeds))
 
 
 class TestCornerConvergence:
