@@ -291,7 +291,8 @@ def _stacked(
         done = best >= ceiling if changed and ceiling is not None else None
         if not changed and corner is not None:
             # the coordinates a run holds stay at its global best; every
-            # other one scores at most as the corner's does
+            # other one scores at most as the corner's does, and a run that
+            # holds them all never moves again
             still = np.where(v > 0, x == upper, np.where(v < 0, x == lower, x != 0))
             held = (still & (x == best_positions) & (x == global_best)).all(axis=1)
             reach = np.asarray(objective(np.where(held, global_best[:, 0], corner)), float)
