@@ -146,9 +146,9 @@ def reliability(model: LogisticModel, x) -> float:
     return float(reliability_rows(model, x[np.newaxis])[0])
 
 
-def _residuals(labels: np.ndarray, t: np.ndarray) -> np.ndarray:
-    # y - p without the cancellation of 1 - sigmoid(t) at saturated scores
-    return np.where(labels == 1, sigmoid(-t), -sigmoid(t))
+def _residuals(labels: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    # y - p, with q = sigmoid(-t) for 1 - p: no cancellation at saturated scores
+    return np.where(labels == 1, q, -p)
 
 
 def _log_likelihood(labels: np.ndarray, t: np.ndarray) -> float:
@@ -203,10 +203,11 @@ def fit(dataset: Dataset) -> tuple[LogisticModel, FitReport]:
             t = design @ gamma
         if not np.isfinite(t).all():
             raise NonFiniteIterateError("Newton iterate overflowed")
-        grad = design.T @ _residuals(labels, t) - ridge * gamma
+        p, q = sigmoid(t), sigmoid(-t)
+        grad = design.T @ _residuals(labels, p, q) - ridge * gamma
         # p*(1-p) as sigmoid(t)*sigmoid(-t) stays positive until sigmoid(-|t|)
         # truly underflows, instead of hitting zero near |t|~37
-        curvature = (design.T * (sigmoid(t) * sigmoid(-t))) @ design
+        curvature = (design.T * (p * q)) @ design
         try:
             factor = np.linalg.cholesky(curvature + ridge * np.eye(gamma.size))
             if (factor.diagonal() ** 2 < COLLINEAR_PIVOT * curvature.diagonal()).any():
@@ -241,7 +242,7 @@ def fit(dataset: Dataset) -> tuple[LogisticModel, FitReport]:
         converged=converged,
         iterations=iterations,
         final_log_likelihood=_log_likelihood(labels, t),
-        max_abs_gradient=float(np.abs(design.T @ _residuals(labels, t)).max()),
+        max_abs_gradient=float(np.abs(design.T @ _residuals(labels, sigmoid(t), sigmoid(-t))).max()),
         ridge_used=float(ridge),
     )
     return model, report

@@ -114,21 +114,6 @@ def corner_optimum(model: LogisticModel, bounds: Bounds) -> CornerSolution:
     return CornerSolution(position=position, value=float(sigmoid(scores)[0]), active_signs=signs)
 
 
-def normalized_distance(a, b, bounds: Bounds) -> float:
-    """Largest coordinate gap as a fraction of the box width.
-
-    Zero-width dimensions carry no information and are skipped; if every
-    dimension is degenerate the distance is 0.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    span = bounds.span
-    live = span > 0
-    if not live.any():
-        return 0.0
-    return float((np.abs(a - b)[live] / span[live]).max())
-
-
 def select_prescriptions(
     ensemble: list[SwarmResult] | tuple[SwarmResult, ...],
     corner: CornerSolution,
@@ -138,30 +123,28 @@ def select_prescriptions(
 ) -> list[Prescription]:
     """Pick up to k distinct near-optimal solutions from the ensemble.
 
-    Candidates are visited by reliability, best first (ties keep ensemble
-    order, i.e. lowest seed first), and kept only when farther than
-    ``radius`` in normalized distance from the corner optimum and from every
-    prescription already kept. May return fewer than k; the caller decides
-    whether that is worth a warning.
+    The distance between two points is their largest coordinate gap as a
+    fraction of the box width; zero-width dimensions are skipped, and with
+    none left it is 0. Candidates are visited by reliability, best first
+    (ties keep ensemble order, i.e. lowest seed first), and kept only when
+    farther than ``radius`` (non-negative) from the corner optimum and from
+    every prescription already kept, in one pass that measures each run's
+    distance once per kept prescription. May return fewer than k; the caller
+    decides whether that is worth a warning.
     """
     ranked = sorted(ensemble, key=lambda run: -run.best_value)
-    # every run's normalized_distance from the corner, by the same operations
     positions = np.reshape([run.best_position for run in ranked], (-1, bounds.n))
     live = bounds.span > 0
-    gaps = np.abs(positions - corner.position)[:, live] / bounds.span[live]
-    from_corner = gaps.max(axis=1, initial=0.0)
+
+    def distance(point):
+        return (np.abs(positions - point)[:, live] / bounds.span[live]).max(axis=1, initial=0.0)
+
+    far = distance(corner.position) > radius
     kept: list[Prescription] = []
-    for run, distance in zip(ranked, from_corner):
-        if len(kept) == k:
-            break
-        position = run.best_position
-        if distance <= radius:
-            continue
-        if any(
-            normalized_distance(position, p.position, bounds) <= radius for p in kept
-        ):
-            continue
-        kept.append(Prescription(position=position, reliability=run.best_value))
+    while len(kept) < k and far.any():
+        i = int(np.argmax(far))  # the best candidate still far from all kept
+        kept.append(Prescription(ranked[i].best_position, ranked[i].best_value))
+        far &= distance(positions[i]) > radius  # drops i itself, at distance 0
     return kept
 
 

@@ -127,14 +127,15 @@ def maximize(
     particle sits on its personal and global best there and its velocity
     keeps it in place: positive at the upper bound, negative at the lower
     bound, or exactly 0 at a position that is not 0. Every pull there is
-    then 0, so no later sweep moves it. One call scores a point per live
-    run, its global best on the coordinates it holds and the corner's value
-    on the others, and a run whose point scores at least 0.5 and no more
-    than its best is retired as at the ceiling: no position it can still
-    reach scores above its best. This retires stalled runs, whose particles
-    keep stepping by an ulp at a bound where the score is flat. A run that
-    holds every coordinate is frozen, its point is its global best, and it
-    is retired whatever that scores: it never moves again.
+    then 0, so no later sweep moves it. When some live run's best is at
+    least 0.5, one call scores a point per live run, its global best on the
+    coordinates it holds and the corner's value on the others, and a run
+    whose point scores at least 0.5 and no more than its best is retired as
+    at the ceiling: no position it can still reach scores above its best.
+    This retires stalled runs, whose particles keep stepping by an ulp at a
+    bound where the score is flat; with every best below 0.5 no point could
+    retire a run, so none is scored. A run that holds every coordinate is
+    frozen, and it is retired whatever its best: it never moves again.
 
     The runs are stacked into one ``(runs, pop, n)`` swarm, in groups of at
     most ``STACK_FLOATS`` floats per array (at least one run each). Each run
@@ -295,8 +296,10 @@ def _stacked(
             # holds them all never moves again
             still = np.where(v > 0, x == upper, np.where(v < 0, x == lower, x != 0))
             held = (still & (x == best_positions) & (x == global_best)).all(axis=1)
-            reach = np.asarray(objective(np.where(held, global_best[:, 0], corner)), float)
-            done = held.all(axis=1) | (reach >= 0.5) & (reach <= best)
+            done = held.all(axis=1)
+            if (best >= 0.5).any():  # a point retires a run only at 0.5 <= reach <= best
+                reach = np.asarray(objective(np.where(held, global_best[:, 0], corner)), float)
+                done |= (reach >= 0.5) & (reach <= best)
         if done is not None and done.any():
             finish(np.flatnonzero(done))  # no later sweep can raise these runs' best
             live = ~done

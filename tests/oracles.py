@@ -15,6 +15,10 @@ exact maximum over a box sits at a vertex. ``enumerate_corners`` finds that
 vertex by exhaustive search, independently of the closed form in
 ``reliopt.pipeline.corner_optimum``.
 
+``normalized_distance`` is the distance between two prescriptions, one pair
+at a time: ``reliopt.pipeline.select_prescriptions`` must keep the runs that a
+greedy pass built on it keeps.
+
 ``velocity_update`` and ``position_update`` are the swarm's update equations,
 one fresh array per step, and ``reference_maximize`` is the stacked swarm
 built from them: ``reliopt.pso.maximize`` must give the same results, bit for
@@ -91,6 +95,21 @@ def reference_score_rows(model: LogisticModel, rows) -> np.ndarray:
     for column, coefficient in zip(rows.T, coefficients):
         t += column * coefficient
     return t
+
+
+def normalized_distance(a, b, bounds: Bounds) -> float:
+    """Largest coordinate gap as a fraction of the box width.
+
+    Zero-width dimensions carry no information and are skipped; if every
+    dimension is degenerate the distance is 0.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    span = bounds.span
+    live = span > 0
+    if not live.any():
+        return 0.0
+    return float((np.abs(a - b)[live] / span[live]).max())
 
 
 def within(bounds: Bounds, x) -> bool:

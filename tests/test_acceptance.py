@@ -27,10 +27,17 @@ from reliopt import (
 from reliopt.cli import render_report_table
 from reliopt.data import MissingPolicy, generate_synthetic
 from reliopt.logistic import reliability_rows
-from reliopt.pipeline import corner_optimum, normalized_distance, optimize_reliability
+from reliopt.pipeline import corner_optimum, optimize_reliability
 from reliopt.pso import maximize
 
-from oracles import gradient, log_likelihood, position_update, velocity_update, within
+from oracles import (
+    gradient,
+    log_likelihood,
+    normalized_distance,
+    position_update,
+    velocity_update,
+    within,
+)
 
 # shipped seed lists: frozen so every checkout reproduces the same verdicts
 CORNER_CASE_SEEDS = list(range(100))

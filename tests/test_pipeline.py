@@ -33,7 +33,6 @@ from reliopt.pipeline import (
     CornerSolution,
     PipelineConfig,
     corner_optimum,
-    normalized_distance,
     optimize_reliability,
     report_to_json,
     run_pipeline,
@@ -42,7 +41,7 @@ from reliopt.pipeline import (
 from reliopt.pso import SwarmConfig, SwarmResult, maximize
 
 from conftest import write_csv
-from oracles import within
+from oracles import normalized_distance, within
 
 
 @pytest.fixture(scope="module")
@@ -151,6 +150,46 @@ class TestSelectPrescriptions:
             assert normalized_distance(p.position, self.corner.position, self.bounds) > radius
         for a, b in itertools.combinations(picked, 2):
             assert normalized_distance(a.position, b.position, self.bounds) > radius
+
+    @given(
+        n=st.integers(1, 3),
+        case=st.integers(0, 2**32 - 1),
+        flat=st.lists(st.booleans(), min_size=3, max_size=3),
+        cells=st.lists(st.integers(0, 4), min_size=3 * 41, max_size=3 * 41),
+        values=st.lists(
+            st.sampled_from([0.9, 0.8, 0.7]) | st.floats(0.5, 0.95), min_size=1, max_size=40
+        ),
+        radius=st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0, 1.5),
+        data=st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_one_greedy_pass_keeps_what_the_oracle_keeps(
+        self, n, case, flat, cells, values, radius, data
+    ):
+        # points on a quarter grid of the box, so that distances tie, reach
+        # the radius exactly and repeat; a flat dimension has zero width, and
+        # every dimension may be flat
+        rng = np.random.default_rng(case)
+        lower = rng.uniform(-5, 5, n)
+        upper = np.where(flat[:n], lower, lower + rng.uniform(0.1, 3, n))
+        bounds = Bounds(lower, upper)
+        grid = lower + bounds.span * np.reshape(cells, (41, 3))[:, :n] / 4
+        corner = CornerSolution(position=grid[-1], value=1.0, active_signs=np.zeros(n, int))
+        ensemble = [fake_run(i, grid[i], value) for i, value in enumerate(values)]
+        k = data.draw(st.integers(0, len(ensemble)))
+
+        kept = []
+        for run in sorted(ensemble, key=lambda run: -run.best_value):
+            others = [corner.position] + [r.best_position for r in kept]
+            if len(kept) < k and all(
+                normalized_distance(run.best_position, p, bounds) > radius for p in others
+            ):
+                kept.append(run)
+        picked = select_prescriptions(ensemble, corner, bounds, k, radius)
+        assert [p.position.tobytes() for p in picked] == [
+            r.best_position.tobytes() for r in kept
+        ]
+        assert [p.reliability for p in picked] == [r.best_value for r in kept]
 
 
 class TestRunPipeline:
