@@ -6,12 +6,12 @@ swarm maximizations of the reliability, and reports the closed-form corner
 optimum together with distinct near-optimal prescriptions. Deliberately small
 iteration budgets leave the ensemble short of the corner, which is what makes
 the prescriptions actionable: interior ratio vectors that give up almost no
-reliability. When the corner's value is at least 0.5, and so bounds every
-evaluation, a run stops sweeping once it reaches that value, once nothing
-it can still reach scores above its best (its global best on the coordinates
-its whole swarm holds, with the corner's on the others, scores no higher),
-or once its swarm holds every coordinate and so never moves again. Its
-results are the ones the full budget gives.
+reliability. The swarm gets the corner's vertex; when that scores at least
+0.5, and so bounds every evaluation, a run stops sweeping once it reaches
+it, once nothing it can still reach scores above its best (its global best
+on the coordinates its whole swarm holds, with the corner's on the others,
+scores no higher), or once its swarm holds every coordinate and so never
+moves again. Its results are the ones the full budget gives.
 """
 
 from __future__ import annotations
@@ -128,23 +128,24 @@ def select_prescriptions(
     none left it is 0. Candidates are visited by reliability, best first
     (ties keep ensemble order, i.e. lowest seed first), and kept only when
     farther than ``radius`` (non-negative) from the corner optimum and from
-    every prescription already kept, in one pass that measures each run's
-    distance once per kept prescription. May return fewer than k; the caller
-    decides whether that is worth a warning.
+    every prescription already kept, in one greedy pass. May return fewer
+    than k; the caller decides whether that is worth a warning.
     """
     ranked = sorted(ensemble, key=lambda run: -run.best_value)
     positions = np.reshape([run.best_position for run in ranked], (-1, bounds.n))
     live = bounds.span > 0
 
-    def distance(point):
-        return (np.abs(positions - point)[:, live] / bounds.span[live]).max(axis=1, initial=0.0)
+    def distance(rows, point):
+        return (np.abs(rows - point)[:, live] / bounds.span[live]).max(axis=1, initial=0.0)
 
-    far = distance(corner.position) > radius
+    far = distance(positions, corner.position) > radius
     kept: list[Prescription] = []
     while len(kept) < k and far.any():
         i = int(np.argmax(far))  # the best candidate still far from all kept
         kept.append(Prescription(ranked[i].best_position, ranked[i].best_value))
-        far &= distance(positions[i]) > radius  # drops i itself, at distance 0
+        far[i] = False
+        if len(kept) < k and far.any():  # only the runs still far are measured
+            far[far] = distance(positions[far], positions[i]) > radius
     return kept
 
 
@@ -163,15 +164,8 @@ def optimize_reliability(
     """
     corner = corner_optimum(model, bounds)
     seeds = range(config.base_seed, config.base_seed + config.n_runs)
-    # At or above 0.5 the corner's value bounds every evaluation in float
-    # (see corner_optimum), so a run that reaches it stops sweeping, and so
-    # does a frozen run, or one whose reach, moved toward the corner, scores
-    # no higher
-    ceiling, vertex = (corner.value, corner.position) if corner.value >= 0.5 else (None, None)
     objective = partial(reliability_rows, model)
-    ensemble = tuple(
-        maximize(objective, bounds, config.swarm, seeds, ceiling=ceiling, corner=vertex)
-    )
+    ensemble = tuple(maximize(objective, bounds, config.swarm, seeds, corner=corner.position))
 
     prescriptions = tuple(
         select_prescriptions(

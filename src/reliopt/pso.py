@@ -79,9 +79,8 @@ class SwarmResult:
     ``history[0]`` is the best value among the initial positions; one entry
     follows per update sweep, so ``len(history) == iterations_run + 1`` and
     the trace is non-decreasing with ``history[-1] == best_value``. A run
-    retired at ``maximize``'s ceiling, or by its corner rule, repeats its
-    best to the end of the budget, which is what its remaining sweeps would
-    have recorded.
+    retired by ``maximize``'s corner rule repeats its best to the end of the
+    budget, which is what its remaining sweeps would have recorded.
     """
 
     seed: int
@@ -100,7 +99,6 @@ def maximize(
     config: SwarmConfig,
     seeds: Iterable[int],
     *,
-    ceiling: float | None = None,
     corner: np.ndarray | None = None,
 ) -> list[SwarmResult]:
     """Run one seeded swarm per seed and return each run's global best.
@@ -111,27 +109,27 @@ def maximize(
     to a value above it, never to a NaN; a run whose start scores nothing
     above ``-inf`` has best ``-inf`` at its first particle's start.
 
-    ``ceiling``, if given, must be a value that no position in the box
-    scores above, such as the exact maximum. A run whose best reaches it is
-    retired before the next sweep: its history is filled with that best, and
-    it makes no more draws and no more evaluations. Since no later sweep
-    could have raised its best, and the other runs neither share its
-    generator nor see its rows, every result is the one ``ceiling=None``
-    gives, bit for bit.
+    ``corner``, if given, is a box vertex, scored once in a ``(1, n)`` call
+    before the first group. Scoring at least 0.5, it must bound the
+    objective from 0.5 up: a position scores no more than the same position
+    with any of its coordinates set to the corner's, when that one scores
+    at least 0.5, as ``corner_optimum``'s vertex does for the reliability.
+    A run whose best reaches the corner's value is then retired before the
+    next sweep: its history is filled with that best, and it makes no more
+    draws and no more evaluations. Since no later sweep could have raised
+    its best, and the other runs neither share its generator nor see its
+    rows, every result is the one ``corner=None`` gives, bit for bit. A
+    corner that scores under 0.5, or NaN, bounds nothing and changes nothing.
 
-    ``corner``, if given, must be a box vertex that bounds the objective
-    from 0.5 up: a position scores no more than the same position with any
-    of its coordinates set to the corner's, when that one scores at least
-    0.5. ``corner_optimum``'s vertex does for the reliability. After a call
-    that raised no personal best, a run *holds* a coordinate when every
-    particle sits on its personal and global best there and its velocity
-    keeps it in place: positive at the upper bound, negative at the lower
-    bound, or exactly 0 at a position that is not 0. Every pull there is
-    then 0, so no later sweep moves it. When some live run's best is at
+    After a call that raised no personal best, a run *holds* a coordinate
+    when every particle sits on its personal and global best there and its
+    velocity keeps it in place: positive at the upper bound, negative at the
+    lower bound, or exactly 0 at a position that is not 0. Every pull there
+    is then 0, so no later sweep moves it. When some live run's best is at
     least 0.5, one call scores a point per live run, its global best on the
     coordinates it holds and the corner's value on the others, and a run
     whose point scores at least 0.5 and no more than its best is retired as
-    at the ceiling: no position it can still reach scores above its best.
+    at the corner's value: no position it can still reach scores above it.
     This retires stalled runs, whose particles keep stepping by an ulp at a
     bound where the score is flat; with every best below 0.5 no point could
     retire a run, so none is scored. A run that holds every coordinate is
@@ -151,7 +149,7 @@ def maximize(
     objective call scores one sweep: the objective gets C-contiguous float64
     ``(live_runs * pop, n)`` blocks, the live runs in seed order, which the
     next sweep overwrites, so an objective that keeps its rows copies them;
-    the corner rule's calls get one ``(live_runs, n)`` block of points.
+    the corner rule's calls get the corner, then ``(live_runs, n)`` points.
 
     Positions start uniform in the box and velocities in ``+-(upper - lower)``,
     placed as ``Generator.uniform`` places the same draws, after ``check_box``
@@ -180,6 +178,11 @@ def maximize(
     memory = min(answers[0] * answers[1], sys.maxsize) if min(answers) > 0 else sys.maxsize
     if needed > memory:
         raise MemoryError(f"a swarm of {needed} bytes is past the {memory} bytes of memory")
+    ceiling = None
+    if corner is not None:
+        ceiling = float(np.asarray(objective(np.array(corner, float, ndmin=2)), float)[0])
+        if not ceiling >= 0.5:  # under 0.5, or NaN, the corner bounds nothing
+            ceiling = corner = None
     results: list[SwarmResult] = []
     for start in range(0, len(seeds), group):
         group_seeds = seeds[start : start + group]

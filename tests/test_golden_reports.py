@@ -34,19 +34,20 @@ REPORT_SHA256 = {
 }
 
 # seed 0: 9 runs never reach the corner's value, seed 2: 5 never do; the
-# corner rule retires them, and each seed's swarm makes 17 objective calls
+# corner rule retires them, and each seed's swarm makes 18 objective calls
 PAPER_SHA256_BY_SEED = {
     0: "00182a8e8c2441e0d5eaaaf1f5109d8f772e540879ed20c1e548a7bbfba1dcf3",
     2: "8949de2964167263aac995069af27e3e23162b1a52c0ddb8eb65ec24669110db",
 }
 
 # the swarm's objective calls and the rows they score, by workload and input
-# seed, the corner rule's calls of one row per live run included
+# seed: the corner's one row, scored first, and the corner rule's calls of
+# one row per live run included
 CALLS_AND_ROWS = {
-    ("paper", 0): (17, 7_569),
-    ("paper", 2): (17, 6_275),
-    ("scale", 1): (4, 2_000),
-    ("prescribe", 1): (4, 2_000),
+    ("paper", 0): (18, 7_570),
+    ("paper", 2): (18, 6_276),
+    ("scale", 1): (5, 2_001),
+    ("prescribe", 1): (5, 2_001),
 }
 
 # reliopt gen --features 9 --rows 200 --seed 1, as in the README
@@ -123,11 +124,12 @@ def test_cli_writes_the_pinned_paper_report(perfbench, inputs, tmp_path):
 
 
 def test_paper_swarm_retires_its_stalled_run(inputs, monkeypatch):
-    # 24 of the 25 runs retire at the corner's value within a few sweeps.
-    # The one left stalls at another vertex: after its first call that
-    # raises no personal best, a call of one row scores its global best
-    # moved to the corner on the coordinates it does not hold, no higher
-    # than its best, and it retires there, within its first ten sweeps
+    # The swarm's first call scores the corner alone, one row. 24 of the 25
+    # runs retire at the corner's value within a few sweeps. The one left
+    # stalls at another vertex: after its first call that raises no
+    # personal best, a call of one row scores its global best moved to the
+    # corner on the coordinates it does not hold, no higher than its best,
+    # and it retires there, within its first ten sweeps
     data, _ = inputs["paper"]
     calls = []
 
@@ -140,14 +142,15 @@ def test_paper_swarm_retires_its_stalled_run(inputs, monkeypatch):
     model, fit_report = reliopt.fit(dataset)
     config = reliopt.PipelineConfig(swarm=reliopt.SwarmConfig(30, 200), n_runs=25, base_seed=7)
     pipeline.optimize_reliability(model, reliopt.compute_bounds(dataset), config)
-    assert len(calls) == 11 and calls[-2:] == [30, 1]
-    assert sum(calls) == 3_751
+    assert len(calls) == 12 and calls[0] == 1 and calls[-2:] == [30, 1]
+    assert sum(calls) == 3_752
 
 
 @pytest.mark.parametrize("name, seed", sorted(CALLS_AND_ROWS))
 def test_swarm_calls_and_rows_are_pinned(perfbench, inputs, tmp_path, monkeypatch, name, seed):
-    # every call of scale and prescribe raises a personal best, so their runs
-    # sweep the whole budget; paper's stalled runs retire by the corner rule
+    # every call of scale and prescribe after the corner's raises a personal
+    # best, so their runs sweep the whole budget; paper's stalled runs retire
+    # by the corner rule
     ops, run = perfbench
     workload = ops.WORKLOADS[name]
     data, model = inputs[name]
