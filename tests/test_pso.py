@@ -691,6 +691,70 @@ def paper_like_problem():
 class TestCeiling:
     """Runs retired at the corner's value give the results of the full budget."""
 
+    @given(
+        n=st.integers(1, 5),
+        pop=st.integers(2, 10),
+        iters=st.integers(1, 40),
+        seeds=st.lists(st.integers(0, 2**32), min_size=1, max_size=8),
+        case=st.integers(0, 2**32 - 1),
+        slopes=st.lists(
+            st.sampled_from([0.0, -0.0, 5e-324, -1e-300, 1e-12]) | st.floats(-3, 3),
+            min_size=5, max_size=5,
+        ),
+        units=st.lists(st.floats(-20, 20), min_size=5, max_size=5),
+        pinned=st.lists(
+            st.sampled_from([None, None, None, 2.5, 0.0, -0.0, (-0.0, 0.0)]),
+            min_size=5, max_size=5,
+        ),
+        margin=st.sampled_from([0.0, 1e-12, 40.0]) | st.floats(0, 40),
+        scalar_rand=st.booleans(),
+        clamp=st.sampled_from([1.0]) | st.floats(1e-3, 1),
+        runs_per_group=st.sampled_from([None, 1, 2, 3]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_ceiling_changes_no_result_bit(
+        self, n, pop, iters, seeds, case, slopes, units, pinned, margin, scalar_rand, clamp,
+        runs_per_group,
+    ):
+        # each ratio in units from 1e-20 to 1e20: its box scaled by the unit
+        # and its slope divided by it
+        rng = np.random.default_rng(case)
+        unit = 10.0 ** np.array(units[:n])
+        lower = rng.uniform(-3.0, 0.0, n) * unit
+        upper = lower + rng.uniform(0.1, 4.0, n) * unit
+        for j, at in enumerate(pinned[:n]):
+            if at is not None:
+                lower[j], upper[j] = at if isinstance(at, tuple) else (at, at)
+        slope = np.array(slopes[:n]) / unit
+        # the intercept puts the corner's score near margin >= 0
+        score = 0.0
+        for s, low, high in zip(slope, lower, upper):
+            score += (high if s > 0 else low) * s
+        model = LogisticModel(
+            beta=np.concatenate([[margin - score], slope]),
+            feature_names=tuple(f"x{i}" for i in range(n)),
+        )
+        bounds = Bounds(lower, upper)
+        corner = corner_optimum(model, bounds)
+        assume(corner.value >= 0.5)
+        objective = partial(reliability_rows, model)
+        config = swarm(pop, iters, scalar_rand=scalar_rand, velocity_clamp_fraction=clamp)
+        # the ceiling alone: each group gets the corner's value, not its point
+        stacked, ceilings = pso._stacked, []
+
+        def ceiling_alone(objective, bounds, config, seeds, ceiling, corner):
+            ceilings.append(ceiling)
+            return stacked(objective, bounds, config, seeds, ceiling, None)
+
+        with pytest.MonkeyPatch.context() as patch:
+            if runs_per_group is not None:
+                patch.setattr(pso, "STACK_FLOATS", runs_per_group * pop * n)
+            full = maximize(objective, bounds, config, seeds)
+            patch.setattr(pso, "_stacked", ceiling_alone)
+            retired = maximize(objective, bounds, config, seeds, corner=corner.position)
+        assert ceilings and all(same_bits(ceiling, corner.value) for ceiling in ceilings)
+        same_results(retired, full)
+
     def test_paper_like_runs_retire(self):
         model, bounds = paper_like_problem()
         corner = corner_optimum(model, bounds)
