@@ -13,7 +13,7 @@ import json
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import MISSING, fields
+from dataclasses import fields
 from pathlib import Path
 from typing import NamedTuple
 
@@ -46,9 +46,8 @@ from .pso import SwarmConfig, check_box
 
 SEED_ENV_VAR = "RELIOPT_SEED"
 
-# The config classes' own defaults; SwarmConfig's settings the CLI passes straight through.
-_SWARM = {f.name: f.default for f in fields(SwarmConfig) if f.default is not MISSING}
-_PIPELINE = {f.name: f.default for f in fields(PipelineConfig)}
+# The config classes' own defaults.
+_DEFAULTS = {f.name: f.default for config in (SwarmConfig, PipelineConfig) for f in fields(config)}
 _POLICIES = tuple(policy.value for policy in MissingPolicy)
 
 
@@ -59,6 +58,7 @@ class _Setting(NamedTuple):
     default: object
     help: str | None  # flag help; None means the config file only
     choices: tuple[str, ...] | None = None
+    field: str | None = None  # the config class's field, where it is not the name
 
 
 _SETTINGS = (
@@ -67,23 +67,25 @@ _SETTINGS = (
     _Setting("missing", None, str, "mean",
              "missing-cell policy: impute the column mean, or reject the file", _POLICIES),
     _Setting("out", None, str, None, "where to write the model (fit) or report JSON"),
-    _Setting("pop", "swarm", int, 30, "particles per run"),
-    _Setting("iters", "swarm", int, 200, "update sweeps per run"),
-    _Setting("c1", "swarm", float, _SWARM["c1"], "personal attraction weight"),
-    _Setting("c2", "swarm", float, _SWARM["c2"], "global attraction weight"),
-    _Setting("w_start", "swarm", float, _SWARM["w_start"], "initial inertia"),
-    _Setting("w_end", "swarm", float, _SWARM["w_end"], "final inertia"),
-    _Setting("velocity_clamp_fraction", "swarm", float, _SWARM["velocity_clamp_fraction"], None),
-    _Setting("scalar_rand", "swarm", bool, _SWARM["scalar_rand"], None),
-    _Setting("runs", "pipeline", int, _PIPELINE["n_runs"], "ensemble size"),
+    _Setting("pop", "swarm", int, 30, "particles per run", field="population_size"),
+    _Setting("iters", "swarm", int, 200, "update sweeps per run", field="max_iterations"),
+    _Setting("c1", "swarm", float, _DEFAULTS["c1"], "personal attraction weight"),
+    _Setting("c2", "swarm", float, _DEFAULTS["c2"], "global attraction weight"),
+    _Setting("w_start", "swarm", float, _DEFAULTS["w_start"], "initial inertia"),
+    _Setting("w_end", "swarm", float, _DEFAULTS["w_end"], "final inertia"),
+    _Setting("velocity_clamp_fraction", "swarm", float, _DEFAULTS["velocity_clamp_fraction"], None),
+    _Setting("scalar_rand", "swarm", bool, _DEFAULTS["scalar_rand"], None),
+    _Setting("runs", "pipeline", int, _DEFAULTS["n_runs"], "ensemble size", field="n_runs"),
     _Setting("seed", "pipeline", int, DEFAULT_SEED,
-             f"base seed; run i uses seed+i; ${SEED_ENV_VAR} replaces the default"),
-    _Setting("prescriptions", "pipeline", int, _PIPELINE["n_prescriptions"],
-             "near-optimal solutions to report"),
-    _Setting("radius", "pipeline", float, _PIPELINE["distinctness_radius"],
-             "normalized distinctness radius for prescriptions"),
+             f"base seed; run i uses seed+i; ${SEED_ENV_VAR} replaces the default",
+             field="base_seed"),
+    _Setting("prescriptions", "pipeline", int, _DEFAULTS["n_prescriptions"],
+             "near-optimal solutions to report", field="n_prescriptions"),
+    _Setting("radius", "pipeline", float, _DEFAULTS["distinctness_radius"],
+             "normalized distinctness radius for prescriptions", field="distinctness_radius"),
 )
 _SECTIONS = ("swarm", "pipeline")
+_FIELD = {s.name: s.field or s.name for s in _SETTINGS}
 _CONFIG = Fields({s.name: s.choices or s.type for s in _SETTINGS if s.section is None} | {
     section: Fields({s.name: s.choices or s.type for s in _SETTINGS if s.section == section})
     for section in _SECTIONS
@@ -154,24 +156,17 @@ def _load(settings: dict):
 
 
 def _pipeline_config(settings: dict) -> PipelineConfig:
+    def section(name):
+        return {_FIELD[s.name]: settings[s.name] for s in _SETTINGS if s.section == name}
+
     try:
-        return PipelineConfig(
-            swarm=SwarmConfig(
-                population_size=settings["pop"],
-                max_iterations=settings["iters"],
-                **{name: settings[name] for name in _SWARM},
-            ),
-            n_runs=settings["runs"],
-            base_seed=settings["seed"],
-            n_prescriptions=settings["prescriptions"],
-            distinctness_radius=settings["radius"],
-        )
+        return PipelineConfig(swarm=SwarmConfig(**section("swarm")), **section("pipeline"))
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
 
 
-def format_vector(values, decimals: int = 3) -> str:
-    return "[" + ", ".join(f"{float(v):.{decimals}f}" for v in values) + "]"
+def format_vector(values) -> str:
+    return "[" + ", ".join(f"{float(v):.3f}" for v in values) + "]"
 
 
 def render_report_table(report: PrescriptionReport) -> str:
@@ -228,10 +223,6 @@ def _emit(args: argparse.Namespace, out, render, table) -> None:
     sys.stdout.write(rendered if args.json else table())
 
 
-def _emit_report(args: argparse.Namespace, report: PrescriptionReport, out) -> None:
-    _emit(args, out, lambda: report_to_json(report), lambda: render_report_table(report))
-
-
 def cmd_fit(args: argparse.Namespace) -> int:
     settings = _settings(args)
     dataset = _load(settings)
@@ -284,7 +275,8 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     bounds = _bounds_from_args(args, settings, model, pipeline_config.swarm)
     with _naming(args.model, settings["data"] if args.bounds is None else args.bounds):
         report = optimize_reliability(model, bounds, pipeline_config, fit_report=fit_report)
-    _emit_report(args, report, settings["out"])
+    _emit(args, settings["out"], lambda: report_to_json(report),
+          lambda: render_report_table(report))
     return 0
 
 
@@ -296,7 +288,8 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         report = run_pipeline(dataset, pipeline_config)
     if args.model_out is not None:
         save_model(report.model, Path(args.model_out), report.fit_report)
-    _emit_report(args, report, settings["out"])
+    _emit(args, settings["out"], lambda: report_to_json(report),
+          lambda: render_report_table(report))
     return 0
 
 

@@ -119,15 +119,6 @@ class Dataset:
     def n_features(self) -> int:
         return self.features.shape[1]
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Dataset):
-            return NotImplemented
-        return (
-            self.feature_names == other.feature_names
-            and np.array_equal(self.features, other.features)
-            and np.array_equal(self.labels, other.labels)
-        )
-
 
 def _number(cell: str) -> float | None:
     """A cell's value: None when it is missing, ValueError when it is not a number."""
@@ -418,15 +409,15 @@ def load_dataset(
         raise InvalidDimensionsError(f"{path}: {exc}") from None
 
 
-def save_dataset(dataset: Dataset, path: str | Path, label_name: str = "label") -> None:
-    """Write a Dataset back to CSV (label column last, full float precision).
+def save_dataset(dataset: Dataset, path: str | Path) -> None:
+    """Write a Dataset back to CSV (label column ``label`` last, full float precision).
 
     ``repr`` rendering guarantees the values survive a reload bit-exactly.
     """
     path = Path(path)
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(list(dataset.feature_names) + [label_name])
+        writer.writerow(list(dataset.feature_names) + ["label"])
         for row, label in zip(dataset.features, dataset.labels):
             writer.writerow([repr(float(v)) for v in row] + [int(label)])
 

@@ -38,12 +38,11 @@ def sigmoid(t):
 
     ``1 / (1 + e)`` for ``t >= 0`` and ``e / (1 + e)`` below, with
     ``e = exp(-|t|)``: the exponent is never positive, so there is no
-    overflow for any finite argument; scalars in, scalar out.
+    overflow for any finite argument.
     """
     arr = np.asarray(t, dtype=float)
     e = np.exp(-np.abs(arr))
-    out = np.where(arr >= 0, 1.0, e) / (1.0 + e)
-    return float(out) if out.ndim == 0 else out
+    return np.where(arr >= 0, 1.0, e) / (1.0 + e)
 
 
 def log_sigmoid(t):

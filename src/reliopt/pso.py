@@ -21,7 +21,7 @@ from dataclasses import InitVar, dataclass
 import numpy as np
 
 from .data import Bounds
-from .errors import InvalidDimensionsError
+from .errors import DimensionMismatchError, InvalidDimensionsError
 from .logistic import freeze_fields
 
 # Largest (runs, pop, n) swarm array one stacked group may hold, in floats.
@@ -110,7 +110,8 @@ def maximize(
     above ``-inf`` has best ``-inf`` at its first particle's start.
 
     ``corner``, if given, is a box vertex, scored once in a ``(1, n)`` call
-    before the first group. Scoring at least 0.5, it must bound the
+    before the first group; one that is not ``n`` finite numbers is a
+    DimensionMismatchError first. Scoring at least 0.5, it must bound the
     objective from 0.5 up: a position scores no more than the same position
     with any of its coordinates set to the corner's, when that one scores
     at least 0.5, as ``corner_optimum``'s vertex does for the reliability.
@@ -180,6 +181,9 @@ def maximize(
         raise MemoryError(f"a swarm of {needed} bytes is past the {memory} bytes of memory")
     ceiling = None
     if corner is not None:
+        corner = np.asarray(corner, float)
+        if corner.shape != (bounds.n,) or not np.isfinite(corner).all():
+            raise DimensionMismatchError(f"corner must be {bounds.n} finite numbers, got {corner}")
         ceiling = float(np.asarray(objective(np.array(corner, float, ndmin=2)), float)[0])
         if not ceiling >= 0.5:  # under 0.5, or NaN, the corner bounds nothing
             ceiling = corner = None

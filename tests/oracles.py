@@ -8,7 +8,8 @@ column: ``reliopt.logistic.score_rows`` must give the same bits.
 ``reference_load_dataset`` reads a CSV file with one parse call per feature
 cell and a numpy finiteness check on each value, and raises where the first
 bad line in file order is found. ``reliopt.data.load_dataset`` must give the
-same Dataset, or the same error type and message.
+same Dataset, or the same error type and message. Datasets compare by
+identity; ``same_dataset`` compares two by their names, values and labels.
 
 The reliability objective is a monotone transform of a linear score, so its
 exact maximum over a box sits at a vertex. ``enumerate_corners`` finds that
@@ -110,6 +111,15 @@ def normalized_distance(a, b, bounds: Bounds) -> float:
     if not live.any():
         return 0.0
     return float((np.abs(a - b)[live] / span[live]).max())
+
+
+def same_dataset(a: Dataset, b: Dataset) -> bool:
+    """Whether two datasets hold the same feature names, features and labels."""
+    return (
+        a.feature_names == b.feature_names
+        and np.array_equal(a.features, b.features)
+        and np.array_equal(a.labels, b.labels)
+    )
 
 
 def within(bounds: Bounds, x) -> bool:

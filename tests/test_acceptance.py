@@ -35,6 +35,7 @@ from oracles import (
     log_likelihood,
     normalized_distance,
     position_update,
+    same_dataset,
     velocity_update,
     within,
 )
@@ -269,4 +270,4 @@ def test_10_imputation_and_round_trip(tmp_path):
         )
         round_trip = tmp_path / "round.csv"
         save_dataset(original, round_trip)
-        assert load_dataset(round_trip, "label", MissingPolicy.REJECT_MISSING) == original
+        assert same_dataset(load_dataset(round_trip, "label", MissingPolicy.REJECT_MISSING), original)

@@ -3,6 +3,7 @@ import json
 import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -808,6 +809,30 @@ class TestSettings:
         assert run_cli("pipeline", "--config", config, "--c1", "2", "--pop", "10",
                        "--iters", "2", "--runs", "3") == 0
         assert capsys.readouterr().err == ""
+
+    def test_every_config_field_is_named_by_one_setting(self):
+        named = [cli._FIELD[s.name] for s in cli._SETTINGS if s.section is not None]
+        declared = [f.name for config in (reliopt.SwarmConfig, reliopt.PipelineConfig)
+                    for f in fields(config) if f.name != "swarm"]
+        assert sorted(named) == sorted(declared)
+
+    def test_config_file_values_reach_the_report_config(self, synth_csv, tmp_path):
+        sections = {
+            "swarm": {"pop": 7, "iters": 3, "c1": 1.5, "c2": 2.5, "w_start": 0.8, "w_end": 0.3,
+                      "velocity_clamp_fraction": 0.5, "scalar_rand": True},
+            "pipeline": {"runs": 4, "seed": 9, "prescriptions": 1, "radius": 0.2},
+        }
+        given = {key: value for section in sections.values() for key, value in section.items()}
+        defaults = {s.name: s.default for s in cli._SETTINGS if s.section is not None}
+        assert given.keys() == defaults.keys()
+        assert all(value != defaults[key] for key, value in given.items())
+        out = tmp_path / "report.json"
+        config = write_config(tmp_path / "cfg.json", {
+            "data": str(synth_csv), "label": "label", "out": str(out), **sections,
+        })
+        assert run_cli("pipeline", "--config", config) == 0
+        echo = json.loads(out.read_text())["config"]
+        assert echo == {cli._FIELD[key]: value for key, value in given.items()}
 
     def test_config_beats_env_seed_and_flag_beats_config(self, synth_csv, tmp_path, monkeypatch):
         def report(*extra):

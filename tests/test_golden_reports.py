@@ -6,7 +6,9 @@ generator (``perfbench/run.py``), run through the benchmark's one operation
 Every workload is pinned at input seed 1, the one every recorded benchmark
 run has read since the stacked swarm; ``paper`` is also pinned at input
 seeds 0 and 2, whose swarms leave more runs short of the corner's value
-(9 and 5 of 25, against 1 at seed 1). The CSV that ``reliopt gen`` writes
+(9 and 5 of 25, against 1 at seed 1), and ``scale`` and ``prescribe`` at
+input seed 0, the one the benchmark's command runs, since it passes no
+``--seed`` to ``perfbench/run.py``. The CSV that ``reliopt gen`` writes
 for the README's example is pinned as well. A change that moves one report
 byte, such as scoring with a BLAS product, fails here, and so does one that
 changes how many rows the swarm scores on these inputs. The hashes were taken
@@ -40,13 +42,21 @@ PAPER_SHA256_BY_SEED = {
     2: "8949de2964167263aac995069af27e3e23162b1a52c0ddb8eb65ec24669110db",
 }
 
+# input seed 0, perfbench/run.py's default and so the benchmark's
+SEED_0_SHA256 = {
+    "scale": "3ae18c83e9ead13cb68de5c89ac7f0e8ee382b45d310d6d6461f85bacac0f142",
+    "prescribe": "b5d8aa13353b2f1b470d5cf81e4597b58224046dc4f5b618240bb5fc9a58062c",
+}
+
 # the swarm's objective calls and the rows they score, by workload and input
 # seed: the corner's one row, scored first, and the corner rule's calls of
 # one row per live run included
 CALLS_AND_ROWS = {
     ("paper", 0): (18, 7_570),
     ("paper", 2): (18, 6_276),
+    ("scale", 0): (5, 2_001),
     ("scale", 1): (5, 2_001),
+    ("prescribe", 0): (5, 1_981),
     ("prescribe", 1): (5, 2_001),
 }
 
@@ -77,19 +87,22 @@ def perfbench():
     return loaded["ops"], loaded["run"]
 
 
+def write_inputs(perfbench, name, seed, directory):
+    """A workload's CSV at an input seed, and the model ``reliopt fit`` saves from it."""
+    ops, run = perfbench
+    workload = ops.WORKLOADS[name]
+    data, model = directory / f"{name}.csv", directory / f"{name}.model.json"
+    run.write_inputs(workload, seed, data)
+    if workload.command == "optimize":
+        assert main(["fit", "--data", str(data), "--label", ops.LABEL, "--out", str(model)]) == 0
+    return data, model
+
+
 @pytest.fixture(scope="module")
 def inputs(perfbench, tmp_path_factory):
     """Each workload's seed-1 CSV, and the model ``reliopt fit`` saves from it."""
-    ops, run = perfbench
     directory = tmp_path_factory.mktemp("golden")
-    paths = {}
-    for name, workload in ops.WORKLOADS.items():
-        data, model = directory / f"{name}.csv", directory / f"{name}.model.json"
-        run.write_inputs(workload, 1, data)
-        if workload.command == "optimize":
-            assert main(["fit", "--data", str(data), "--label", ops.LABEL, "--out", str(model)]) == 0
-        paths[name] = (data, model)
-    return paths
+    return {name: write_inputs(perfbench, name, 1, directory) for name in perfbench[0].WORKLOADS}
 
 
 @pytest.mark.parametrize("name", sorted(REPORT_SHA256))
@@ -107,6 +120,14 @@ def test_paper_report_bytes_are_pinned_at_other_input_seeds(perfbench, tmp_path,
     run.write_inputs(workload, seed, data)
     text = ops.operation(reliopt, workload, data, tmp_path / "unused.model.json")
     assert sha256(text.encode()) == PAPER_SHA256_BY_SEED[seed]
+
+
+@pytest.mark.parametrize("name", sorted(SEED_0_SHA256))
+def test_workload_report_bytes_are_pinned_at_the_benchmark_seed(perfbench, tmp_path, name):
+    ops, _ = perfbench
+    data, model = write_inputs(perfbench, name, 0, tmp_path)
+    text = ops.operation(reliopt, ops.WORKLOADS[name], data, model)
+    assert sha256(text.encode()) == SEED_0_SHA256[name]
 
 
 def test_gen_writes_the_pinned_csv(tmp_path):
@@ -148,15 +169,12 @@ def test_paper_swarm_retires_its_stalled_run(inputs, monkeypatch):
 
 @pytest.mark.parametrize("name, seed", sorted(CALLS_AND_ROWS))
 def test_swarm_calls_and_rows_are_pinned(perfbench, inputs, tmp_path, monkeypatch, name, seed):
-    # every call of scale and prescribe after the corner's raises a personal
-    # best, so their runs sweep the whole budget; paper's stalled runs retire
-    # by the corner rule
-    ops, run = perfbench
-    workload = ops.WORKLOADS[name]
-    data, model = inputs[name]
-    if seed != 1:
-        data = tmp_path / f"{name}.csv"
-        run.write_inputs(workload, seed, data)
+    # every call of scale, and of prescribe at seed 1, after the corner's
+    # raises a personal best, so their runs sweep the whole budget; at seed 0
+    # one prescribe run reaches the corner's value before its last sweep, and
+    # paper's stalled runs retire by the corner rule
+    ops, _ = perfbench
+    data, model = inputs[name] if seed == 1 else write_inputs(perfbench, name, seed, tmp_path)
     calls = []
 
     def counting(model, rows):
@@ -164,5 +182,5 @@ def test_swarm_calls_and_rows_are_pinned(perfbench, inputs, tmp_path, monkeypatc
         return reliability_rows(model, rows)
 
     monkeypatch.setattr(pipeline, "reliability_rows", counting)
-    ops.operation(reliopt, workload, data, model)
+    ops.operation(reliopt, ops.WORKLOADS[name], data, model)
     assert (len(calls), sum(calls)) == CALLS_AND_ROWS[name, seed]

@@ -983,6 +983,24 @@ class TestCornerRule:
         same_results(results, maximize(walls, bounds, config, [seed]))
         same_results(results, reference_maximize(walls, bounds, config, [seed]))
 
+    @pytest.mark.parametrize(
+        "objective, config, seeds, corner",
+        [
+            # scored as its ceiling, the 2-column corner let the swarm return
+            (lambda rows: np.full(len(rows), 0.75), swarm(4, 5), [0], np.ones(2)),
+            # its point call broadcast a 3-column best against it: numpy's ValueError
+            (walls, swarm(4, 50), [0, 1], np.ones(2)),
+            # scored 0.9 as the ceiling, where the box's best position scores 1.1
+            (walls, swarm(4, 50), [0, 1], np.array([1.0, np.nan, 1.0])),
+        ],
+        ids=["short-flat", "short-walls", "nan"],
+    )
+    def test_a_corner_not_n_finite_numbers_is_refused(self, objective, config, seeds, corner):
+        calls = []
+        with pytest.raises(DimensionMismatchError, match="corner must be 3 finite numbers"):
+            maximize(counted(objective, calls), unit_box(3), config, seeds, corner=corner)
+        assert calls == []  # refused before the corner's call
+
     def test_a_point_below_one_half_retires_nothing(self):
         # the corner scores 0.5009 but seed 4 stalls at 0.4919: with every
         # best under 0.5 no point could retire a run, so after the corner's
