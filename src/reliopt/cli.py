@@ -20,7 +20,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .data import (
-    DEFAULT_SEED,
     Bounds,
     MissingPolicy,
     compute_bounds,
@@ -76,7 +75,7 @@ _SETTINGS = (
     _Setting("velocity_clamp_fraction", "swarm", float, _DEFAULTS["velocity_clamp_fraction"], None),
     _Setting("scalar_rand", "swarm", bool, _DEFAULTS["scalar_rand"], None),
     _Setting("runs", "pipeline", int, _DEFAULTS["n_runs"], "ensemble size", field="n_runs"),
-    _Setting("seed", "pipeline", int, DEFAULT_SEED,
+    _Setting("seed", "pipeline", int, _DEFAULTS["base_seed"],
              f"base seed; run i uses seed+i; ${SEED_ENV_VAR} replaces the default",
              field="base_seed"),
     _Setting("prescriptions", "pipeline", int, _DEFAULTS["n_prescriptions"],
@@ -112,23 +111,17 @@ def _read_json(path: Path, kind, name: str):
         raise _UsageError(f"{path}: {exc}") from None
 
 
-def _env_seed() -> int:
-    raw = os.environ.get(SEED_ENV_VAR)
-    if raw is None:
-        return DEFAULT_SEED
-    try:
-        return int(raw)
-    except ValueError:
-        raise _UsageError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from None
-
-
 def _settings(args: argparse.Namespace) -> dict:
     """Every setting, merged in layers: the table default, then
     $RELIOPT_SEED (for commands with --seed), then the config file, then the
     flags. A flag that replaces a different config value is noted on stderr."""
     settings = {s.name: s.default for s in _SETTINGS}
-    if "seed" in vars(args):
-        settings["seed"] = _env_seed()
+    raw = os.environ.get(SEED_ENV_VAR) if "seed" in vars(args) else None
+    if raw is not None:
+        try:
+            settings["seed"] = int(raw)
+        except ValueError:
+            raise _UsageError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from None
     config = _read_json(args.config, _CONFIG, "config") if vars(args).get("config") else {}
     for section in _SECTIONS:  # one flat table of settings by name
         config.update(config.pop(section, {}))
@@ -302,8 +295,6 @@ def cmd_gen(args: argparse.Namespace) -> int:
         raise _UsageError("--features and --rows are required")
     if n < 1 or args.rows < 2:
         raise _UsageError("need --features >= 1 and --rows >= 2")
-    if not 0 < args.upper - args.lower < np.inf:
-        raise _UsageError("--lower must be strictly below --upper, a finite distance apart")
     if args.beta is not None:
         try:
             beta = np.asarray([float(v) for v in args.beta.split(",")], dtype=float)
@@ -314,7 +305,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
         beta = np.random.default_rng([seed, 1]).uniform(-2.0, 2.0, n + 1)
     try:
         ranges = Bounds(np.full(n, float(args.lower)), np.full(n, float(args.upper)))
-        dataset, beta = generate_synthetic(n, args.rows, beta, ranges, seed)
+        dataset, beta = generate_synthetic(args.rows, beta, ranges, seed)
     except InvalidDimensionsError as exc:
         raise _UsageError(str(exc)) from None
     save_dataset(dataset, args.out)
@@ -349,9 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     fit_parser = sub.add_parser("fit", help="fit the reliability model from a labeled CSV")
     _add_setting_flags(fit_parser, None)
-    fit_parser.add_argument("--json", action="store_true", help="print model JSON to stdout")
-    fit_parser.add_argument("--config", type=Path, help="JSON config file (flags win)")
-    fit_parser.set_defaults(handler=cmd_fit)
 
     optimize_parser = sub.add_parser(
         "optimize", help="maximize reliability of a fitted model over data-derived bounds"
@@ -361,9 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--bounds", type=Path, help="explicit bounds JSON {lower: [...], upper: [...]}"
     )
     _add_setting_flags(optimize_parser, None, *_SECTIONS)
-    optimize_parser.add_argument("--json", action="store_true", help="print report JSON to stdout")
-    optimize_parser.add_argument("--config", type=Path, help="JSON config file (flags win)")
-    optimize_parser.set_defaults(handler=cmd_optimize)
 
     pipeline_parser = sub.add_parser(
         "pipeline", help="fit and optimize in one invocation"
@@ -372,14 +357,21 @@ def build_parser() -> argparse.ArgumentParser:
     pipeline_parser.add_argument(
         "--model-out", dest="model_out", type=Path, help="where to write the model JSON"
     )
-    pipeline_parser.add_argument("--json", action="store_true", help="print report JSON to stdout")
-    pipeline_parser.add_argument("--config", type=Path, help="JSON config file (flags win)")
-    pipeline_parser.set_defaults(handler=cmd_pipeline)
+    for stage, printed, handler in (
+        (fit_parser, "model", cmd_fit),
+        (optimize_parser, "report", cmd_optimize),
+        (pipeline_parser, "report", cmd_pipeline),
+    ):
+        stage.add_argument("--json", action="store_true", help=f"print {printed} JSON to stdout")
+        stage.add_argument("--config", type=Path, help="JSON config file (flags win)")
+        stage.set_defaults(handler=handler)
 
     gen_parser = sub.add_parser("gen", help="generate a synthetic labeled dataset")
     gen_parser.add_argument("--features", type=int, help="number of ratio columns")
     gen_parser.add_argument("--rows", type=int, help="number of banks")
-    gen_parser.add_argument("--seed", type=int, help=f"RNG seed (default ${SEED_ENV_VAR} or 0)")
+    gen_parser.add_argument(
+        "--seed", type=int, help=f"RNG seed (default ${SEED_ENV_VAR} or {_DEFAULTS['base_seed']})"
+    )
     gen_parser.add_argument("--out", type=Path, required=True, help="CSV output path")
     gen_parser.add_argument(
         "--beta",
@@ -408,6 +400,3 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 
-
-if __name__ == "__main__":
-    raise SystemExit(main())

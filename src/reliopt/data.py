@@ -13,7 +13,6 @@ import enum
 import math
 import os
 import struct
-import warnings
 from collections import Counter
 from contextlib import suppress
 from dataclasses import dataclass
@@ -30,8 +29,6 @@ from .errors import (
     UnknownLabelColumnError,
 )
 from .logistic import LogisticModel, freeze_fields, reliability_rows, score_rows
-
-DEFAULT_SEED = 0
 
 _MISSING_TOKENS = {"", "na"}
 
@@ -273,15 +270,7 @@ def _fork_worker(path: Path, start: int, end: int, layout, readers):
     read_end, write_end = os.pipe()
     pipe = open(read_end, "rb")
     try:
-        with warnings.catch_warnings():
-            # Python 3.12+ warns that forking a process with threads (OpenBLAS
-            # starts its pool at import) may deadlock the child. This child
-            # only parses: it takes no lock held by another thread and ends in
-            # os._exit.
-            warnings.filterwarnings(
-                "ignore", r"This process \(pid=\d+\) is multi-threaded", DeprecationWarning
-            )
-            pid = os.fork()
+        pid = os.fork()
     except BaseException:
         pipe.close()
         os.close(write_end)
@@ -451,43 +440,42 @@ def score_extremes(model: LogisticModel, bounds: Bounds) -> tuple[np.ndarray, np
 
 
 def generate_synthetic(
-    n_features: int,
     m_rows: int,
     true_beta: np.ndarray,
     feature_ranges: Bounds,
-    seed: int = DEFAULT_SEED,
+    seed: int,
 ) -> tuple[Dataset, np.ndarray]:
-    """Draw a labeled dataset from a known logistic ground truth.
+    """Draw a labeled dataset over ``feature_ranges`` from a known logistic ground truth.
 
-    Features are uniform per column inside ``feature_ranges``; each label is
-    Bernoulli with success probability ``sigmoid(b0 + b . x)``, scored by
-    ``reliability_rows``, the kernel the swarm uses. Deterministic given
-    ``seed``: the feature matrix is drawn first (row-major), then one uniform
-    per row for the labels. A score that overflows the float range inside
-    ``feature_ranges`` is refused before any draw (``score_extremes``).
+    Features are uniform inside ``feature_ranges``, one column per dimension;
+    each label is Bernoulli with success probability ``sigmoid(b0 + b . x)``,
+    scored by ``reliability_rows``, the kernel the swarm uses. Deterministic
+    given ``seed``: the feature matrix is drawn first (row-major), then one
+    uniform per row for the labels. A range wider than the largest float, or
+    a score that overflows the float range inside ``feature_ranges``
+    (``score_extremes``), is refused before any draw.
 
     Returns the dataset together with an (echoed) copy of the coefficients.
     """
-    if n_features < 1 or m_rows < 2:
-        raise InvalidDimensionsError("need n_features >= 1 and m_rows >= 2")
+    n = feature_ranges.n
+    if m_rows < 2:
+        raise InvalidDimensionsError("need m_rows >= 2")
     beta = np.ascontiguousarray(true_beta, dtype=float)
-    if beta.shape != (n_features + 1,) or not np.isfinite(beta).all():
+    if beta.shape != (n + 1,) or not np.isfinite(beta).all():
         raise InvalidDimensionsError(
-            f"true_beta must be {n_features + 1} finite numbers (intercept first), got {beta}"
+            f"true_beta must be {n + 1} finite numbers (intercept first), got {beta}"
         )
-    if feature_ranges.n != n_features:
-        raise InvalidDimensionsError(
-            f"feature_ranges has {feature_ranges.n} dimensions, expected {n_features}"
-        )
-    if not (feature_ranges.lower < feature_ranges.upper).all():
-        raise InvalidDimensionsError("feature_ranges must have lower < upper in every dimension")
+    with np.errstate(over="ignore"):
+        span = feature_ranges.span
+    if not ((0 < span) & (span < np.inf)).all():
+        raise InvalidDimensionsError("every range needs lower < upper, a finite distance apart")
 
-    names = tuple(f"x{i + 1}" for i in range(n_features))
+    names = tuple(f"x{i + 1}" for i in range(n))
     model = LogisticModel(beta, names)
     score_extremes(model, feature_ranges)
 
     rng = np.random.default_rng(seed)
-    features = rng.uniform(feature_ranges.lower, feature_ranges.upper, size=(m_rows, n_features))
+    features = rng.uniform(feature_ranges.lower, feature_ranges.upper, size=(m_rows, n))
     probabilities = reliability_rows(model, features)
     labels = (rng.random(m_rows) < probabilities).astype(int)
     return Dataset(features=features, labels=labels, feature_names=names), beta.copy()

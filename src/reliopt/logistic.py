@@ -366,11 +366,11 @@ _MODEL = Fields({"feature_names": [str], "beta": [float], "fit": Fields(_FIT, tu
 
 
 def model_from_json(text: str) -> tuple[LogisticModel, FitReport | None]:
-    """Parse ``model_to_json`` output; JSON that ``checked_json`` refuses as a model
-    (a string or NaN for a number, a missing or unknown key) is a MalformedModelError."""
+    """Parse ``model_to_json`` output; text that is no model's JSON (nested too deep,
+    a string or NaN for a number, a missing or unknown key) is a MalformedModelError."""
     try:
         payload = checked_json(json.loads(text), _MODEL, "model")
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise MalformedModelError(str(exc)) from None
     model = LogisticModel(payload["beta"], payload["feature_names"])
     return model, FitReport(**payload["fit"]) if "fit" in payload else None
@@ -387,5 +387,5 @@ def load_model(path: str | Path) -> tuple[LogisticModel, FitReport | None]:
         raise FileNotFoundError(f"no such file: {path}")
     try:
         return model_from_json(path.read_text(encoding="utf-8"))
-    except (ValueError, RecursionError, DimensionMismatchError, MalformedModelError) as exc:
+    except (ValueError, DimensionMismatchError, MalformedModelError) as exc:
         raise MalformedModelError(f"{path}: not a model file ({exc})") from None

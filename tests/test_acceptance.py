@@ -132,7 +132,7 @@ def test_03_parameter_recovery_on_synthetic_data():
         with budget(10):
             true_beta = np.array([0.5, -1.2, 0.8, 1.5])
             box = Bounds(np.full(3, -1.0), np.full(3, 1.0))
-            dataset, _ = generate_synthetic(3, 5_000, true_beta, box, seed=0)
+            dataset, _ = generate_synthetic(5_000, true_beta, box, seed=0)
             model, report = fit(dataset)
             assert report.converged
             assert (np.abs(model.beta - true_beta) <= 0.2).all()
@@ -172,7 +172,7 @@ def test_05_update_equations_exact():
 @pytest.fixture(scope="module")
 def pipeline_fixture():
     box = Bounds(np.zeros(9), np.ones(9))
-    dataset, _ = generate_synthetic(9, 250, np.linspace(-2, 2, 10), box, seed=42)
+    dataset, _ = generate_synthetic(250, np.linspace(-2, 2, 10), box, seed=42)
     config = PipelineConfig(
         swarm=SwarmConfig(population_size=20, max_iterations=3),
         n_runs=25,
@@ -220,7 +220,7 @@ def test_08_premature_convergence_yields_interior_prescriptions():
             rng = np.random.default_rng(case_seed)
             n = [9, 12][case_seed % 2]
             box = Bounds(np.zeros(n), np.ones(n))
-            dataset, _ = generate_synthetic(n, 300, rng.uniform(-2, 2, n + 1), box, seed=case_seed)
+            dataset, _ = generate_synthetic(300, rng.uniform(-2, 2, n + 1), box, seed=case_seed)
             pop, iters = [(20, 3), (25, 5)][case_seed % 2]
             config = PipelineConfig(
                 swarm=SwarmConfig(population_size=pop, max_iterations=iters),

@@ -15,7 +15,6 @@ from hypothesis.extra.numpy import arrays
 
 from reliopt import data
 from reliopt.data import (
-    DEFAULT_SEED,
     Bounds,
     Dataset,
     MissingPolicy,
@@ -709,16 +708,16 @@ class TestGenerateSynthetic:
         return Bounds(np.full(n, lo), np.full(n, hi))
 
     def test_deterministic(self):
-        a, _ = generate_synthetic(2, 50, [0.1, -0.2, 0.3], self.box(2), seed=5)
-        b, _ = generate_synthetic(2, 50, [0.1, -0.2, 0.3], self.box(2), seed=5)
+        a, _ = generate_synthetic(50, [0.1, -0.2, 0.3], self.box(2), seed=5)
+        b, _ = generate_synthetic(50, [0.1, -0.2, 0.3], self.box(2), seed=5)
         assert same_dataset(a, b)
 
     def test_zero_beta_balance(self):
-        ds, _ = generate_synthetic(1, 10_000, [0.0, 0.0], self.box(1), seed=DEFAULT_SEED)
+        ds, _ = generate_synthetic(10_000, [0.0, 0.0], self.box(1), seed=0)
         assert 0.48 <= ds.labels.mean() <= 0.52
 
     def test_steep_slope_conditional_fraction(self):
-        ds, beta = generate_synthetic(1, 5_000, [0.0, 8.0], self.box(1), seed=DEFAULT_SEED)
+        ds, beta = generate_synthetic(5_000, [0.0, 8.0], self.box(1), seed=0)
         hot = ds.features[:, 0] > 0.5
         # direct check of the ground truth on the generated sample
         assert (sigmoid(8.0 * ds.features[hot, 0]) >= sigmoid(4.0)).all()
@@ -726,33 +725,34 @@ class TestGenerateSynthetic:
 
     def test_echoes_beta(self):
         beta_in = [0.5, -0.25]
-        _, beta_out = generate_synthetic(1, 10, beta_in, self.box(1), seed=1)
+        _, beta_out = generate_synthetic(10, beta_in, self.box(1), seed=1)
         assert beta_out.tolist() == beta_in
 
     @pytest.mark.parametrize(
-        "n,m,beta,box_n",
+        "m,beta,box",
         [
-            (0, 10, [0.0], 1),
-            (1, 1, [0.0, 0.0], 1),
-            (2, 10, [0.0, 0.0], 2),  # beta too short
-            (1, 10, [0.0, 0.0], 2),  # ranges wrong size
-            (2, 10, [1e308, 1e308, -1e308], 2),  # the score overflows in the box
+            pytest.param(10, [0.0], (1,), id="beta-short-one-ratio"),
+            pytest.param(1, [0.0, 0.0], (1,), id="one-row"),
+            pytest.param(10, [0.0, 0.0], (2,), id="beta-short-two-ratios"),
+            pytest.param(10, [1e308, 1e308, -1e308], (2,), id="score-overflows"),
+            # used to end in numpy's OverflowError after a RuntimeWarning
+            pytest.param(10, [0.0, 0.0, 0.0], (2, -1e308, 1e308), id="wider-than-largest-float"),
         ],
     )
-    def test_invalid_dimensions(self, n, m, beta, box_n):
+    def test_invalid_dimensions(self, m, beta, box):
         with pytest.raises(InvalidDimensionsError):
-            generate_synthetic(n, m, beta, self.box(box_n), seed=0)
+            generate_synthetic(m, beta, self.box(*box), seed=0)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_beta_rejected(self, bad):
         # a NaN coefficient used to give a dataset with every label 0
         with pytest.raises(InvalidDimensionsError, match="finite"):
-            generate_synthetic(1, 10, [0.0, bad], self.box(1), seed=0)
+            generate_synthetic(10, [0.0, bad], self.box(1), seed=0)
 
     def test_degenerate_range_rejected(self):
         flat = Bounds(np.array([1.0]), np.array([1.0]))
         with pytest.raises(InvalidDimensionsError):
-            generate_synthetic(1, 10, [0.0, 0.0], flat, seed=0)
+            generate_synthetic(10, [0.0, 0.0], flat, seed=0)
 
 
 @settings(max_examples=200, deadline=None)

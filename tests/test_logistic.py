@@ -329,7 +329,7 @@ class TestFit:
     def test_parameter_recovery(self):
         true_beta = np.array([0.5, -1.2, 0.8, 1.5])
         box = Bounds(np.full(3, -1.0), np.full(3, 1.0))
-        ds, _ = generate_synthetic(3, 5_000, true_beta, box, seed=0)
+        ds, _ = generate_synthetic(5_000, true_beta, box, seed=0)
         model, report = fit(ds)
         assert report.converged
         assert (np.abs(model.beta - true_beta) <= 0.2).all()
@@ -496,6 +496,11 @@ class TestSerialization:
     def test_malformed_payload_is_typed_error(self, payload):
         with pytest.raises(MalformedModelError):
             model_from_json(json.dumps(payload))
+
+    def test_too_deeply_nested_text_is_typed_error(self):
+        # json.loads raises RecursionError here, which used to escape model_from_json
+        with pytest.raises(MalformedModelError):
+            model_from_json("[" * 100_000)
 
     def test_integers_pass_as_floats_unchanged(self):
         payload = {"feature_names": ["a"], "beta": [0, 2],

@@ -47,7 +47,7 @@ from oracles import normalized_distance, within
 @pytest.fixture(scope="module")
 def synthetic():
     box = Bounds(np.zeros(4), np.ones(4))
-    ds, _ = generate_synthetic(4, 400, [0.2, 1.5, -1.0, 0.7, -1.8], box, seed=2)
+    ds, _ = generate_synthetic(400, [0.2, 1.5, -1.0, 0.7, -1.8], box, seed=2)
     return ds
 
 
@@ -249,7 +249,7 @@ class TestRunPipeline:
 
     def test_nine_ratio_run_shape(self):
         box = Bounds(np.zeros(9), np.ones(9))
-        ds, _ = generate_synthetic(9, 200, np.linspace(-2, 2, 10), box, seed=5)
+        ds, _ = generate_synthetic(200, np.linspace(-2, 2, 10), box, seed=5)
         report = run_pipeline(ds, pipeline_config(pop=20, iters=3, runs=25))
         assert report.model.n_features == 9
         for p in report.prescriptions:
@@ -540,7 +540,7 @@ class TestReadme:
         library = readme.split("\n## Library\n", 1)[1]
         code = library.split("```python\n", 1)[1].split("\n```", 1)[0]
         box = Bounds(np.zeros(9), np.ones(9))
-        dataset, _ = generate_synthetic(9, 200, np.linspace(-2, 2, 10), box, seed=5)
+        dataset, _ = generate_synthetic(200, np.linspace(-2, 2, 10), box, seed=5)
         save_dataset(dataset, tmp_path / "banks.csv")
         monkeypatch.chdir(tmp_path)
         namespace = {}

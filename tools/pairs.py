@@ -2,15 +2,17 @@
 """Paired benchmark runs of a parent commit against the working tree.
 
     python3 tools/pairs.py --out BENCH_N.json [--parent REV] [--workload W ...]
-        [--seed S] [--seconds N] [--claim METRIC:WORKLOAD]
+        [--seed S] [--claim METRIC:WORKLOAD]
 
 The parent commit (default ``HEAD``) is exported with ``git archive`` into
 ``.bench_build/parent``, and the change, the working tree's files that git
 tracks or does not ignore, is copied into ``.bench_build/change``, so both
 sides run from a fresh directory at the same depth. For each workload,
-ten pairs run; pair i runs ``perfbench/run.py --workload W --seed S --seconds N`` in the
-parent then the change when i is odd, the change then the parent when it is
-even (ABBA), and reads each run's record from its tree's
+ten pairs run; pair i runs ``perfbench/run.py --workload W --seed S --seconds N``,
+N the benchmark's ``run_seconds`` (the length the benchmark is judged at: at
+6 s a run, the parent's own ``paper`` ``op_s`` median moved 24 % between two
+sets of pairs), in the parent then the change when i is odd, the change then
+the parent when it is even (ABBA), and reads each run's record from its tree's
 ``.perfbench/runs/<W>-seed<S>-trace0.json``. The output file holds the
 machine, both trees' ``src`` sha256, and per workload and end-to-end metric
 each side's median and inclusive quartiles, the pairs in which the change is
@@ -128,10 +130,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workload", action="append", choices=names,
                         help="a workload to run, repeatable (default: every one)")
     parser.add_argument("--seed", type=int, default=0, help="input seed (default 0)")
-    parser.add_argument("--seconds", type=float, default=benchmark["run_seconds"],
-                        help="seconds per run (default the benchmark's)")
     parser.add_argument("--claim", help="METRIC:WORKLOAD whose gain to judge")
     args = parser.parse_args(argv)
+    seconds = benchmark["run_seconds"]
     if args.claim is not None:
         metric, _, claimed = args.claim.partition(":")
         if metric not in metrics or claimed not in (args.workload or names):
@@ -147,7 +148,7 @@ def main(argv: list[str] | None = None) -> int:
         values = {side: {metric: [] for metric in metrics} for side in trees}
         for pair in range(1, PAIRS + 1):
             for side in order(pair):
-                record = run_once(trees[side], workload, args.seed, args.seconds)
+                record = run_once(trees[side], workload, args.seed, seconds)
                 src.setdefault(side, record["tree"]["src_sha256"])
                 machine = record["machine"]
                 for metric in metrics:
@@ -179,10 +180,10 @@ def main(argv: list[str] | None = None) -> int:
               f"{q3 - q1:.6g}: gain {'shown' if shown else 'not shown'}")
     args.out.write_text(json.dumps({
         "what": f"{PAIRS} ABBA pairs per workload at input seed {args.seed}, "
-                f"{args.seconds:g} s per run, parent {parent_commit} against a copy of the "
+                f"{seconds:g} s per run, parent {parent_commit} against a copy of the "
                 "working tree",
         "command": f"python3 perfbench/run.py --workload W --seed {args.seed} "
-                   f"--seconds {args.seconds:g}",
+                   f"--seconds {seconds:g}",
         "pairing": PAIRING,
         "parent_commit": parent_commit,
         "change_commit": None,
