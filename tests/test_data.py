@@ -731,10 +731,13 @@ class TestGenerateSynthetic:
     @pytest.mark.parametrize(
         "m,beta,box",
         [
-            pytest.param(10, [0.0], (1,), id="beta-short-one-ratio"),
-            pytest.param(1, [0.0, 0.0], (1,), id="one-row"),
-            pytest.param(10, [0.0, 0.0], (2,), id="beta-short-two-ratios"),
-            pytest.param(10, [1e308, 1e308, -1e308], (2,), id="score-overflows"),
+            # the first five ids are the names these cases ran under when the
+            # dimension was a parameter of its own; they are kept so the names stay
+            pytest.param(10, [0.0], (1,), id="0-10-beta0-1"),  # beta too short, one ratio
+            pytest.param(1, [0.0, 0.0], (1,), id="1-1-beta1-1"),  # one row
+            pytest.param(10, [0.0, 0.0], (2,), id="2-10-beta2-2"),  # beta too short, two ratios
+            pytest.param(10, [0.0, 0.0, 0.0], (1,), id="1-10-beta3-2"),  # box smaller than beta
+            pytest.param(10, [1e308, 1e308, -1e308], (2,), id="2-10-beta4-2"),  # the score overflows
             # used to end in numpy's OverflowError after a RuntimeWarning
             pytest.param(10, [0.0, 0.0, 0.0], (2, -1e308, 1e308), id="wider-than-largest-float"),
         ],
